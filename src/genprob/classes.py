@@ -12,9 +12,10 @@ constructing the subgroup where a cheap criterion exists:
   nilpotent group iff parts for distinct primes commute and each same-prime
   pair generates a p-group (checked by closure with the Sylow order of the
   ambient group as a hard size bound).
-* soluble: orders below 60, odd orders, and two-prime orders force
-  solubility; otherwise the generated subgroup is classified once per
-  distinct subgroup via its derived series.
+* soluble: commuting generators give an abelian group.  Otherwise the
+  pair subgroup gets a stabilizer chain; its order settles the question
+  when it is below 60, odd, or has at most two prime divisors, and its
+  derived series settles the rest.
 
 Every fast test is property-checked against the plain
 ``predicate(subgroup(x, y))`` route in the test suite.
@@ -22,14 +23,14 @@ Every fast test is property-checked against the plain
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import NotInGroup, UnknownName
 from .group import FiniteGroup, direct_product
-from .perm import Permutation, identity_tuple, inv, mul
+from .perm import Permutation, identity_tuple, mul, prime_component, tuple_order
+from .util import pi_part, prime_factors
 
 __all__ = [
     "GroupClass",
@@ -42,11 +43,6 @@ __all__ = [
     "closure_audit",
     "ClosureAuditReport",
 ]
-
-# Pair subgroups up to this size are classified by materialized closure
-# (cheap, enables dedup by element set); larger ones go through the
-# stabilizer chain instead.
-_CLOSURE_AMBIENT_MAX = 1024
 
 _SMALLEST_INSOLUBLE = 60  # |Alt(5)|; every group below this order is soluble
 
@@ -70,75 +66,15 @@ class GroupClass:
 
 
 # ---------------------------------------------------------------------------
-# tuple-level helpers
+# fast pair tests
 # ---------------------------------------------------------------------------
 
-def _tuple_order(t: tuple[int, ...]) -> int:
-    seen = [False] * len(t)
-    order = 1
-    for start in range(len(t)):
-        if seen[start] or t[start] == start:
-            continue
-        length = 1
-        seen[start] = True
-        j = t[start]
-        while j != start:
-            seen[j] = True
-            length += 1
-            j = t[j]
-        order = math.lcm(order, length)
-    return order
-
-
-def _tuple_power(t: tuple[int, ...], k: int) -> tuple[int, ...]:
-    result = identity_tuple(len(t))
-    base = t
-    while k:
-        if k & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        k >>= 1
-    return result
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _p_part_exponent(order: int, p: int) -> tuple[int, int]:
-    """Split order = a*b with a the p-part; return (a, b)."""
-    a = 1
-    while order % p == 0:
-        a *= p
-        order //= p
-    return a, order
-
-
-def _p_part(t: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """The p-component of t inside the cyclic group it generates."""
-    o = _tuple_order(t)
-    a, b = _p_part_exponent(o, p)
-    if a == 1:
-        return identity_tuple(len(t))
-    if b == 1:
-        return t
-    # exponent e with e = 1 mod a, e = 0 mod b
-    e = b * pow(b, -1, a)
-    return _tuple_power(t, e)
+def _abelian_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
+    return mul(xt, yt) == mul(yt, xt)
 
 
 def _closure(gens: Sequence[tuple[int, ...]], degree: int,
-             limit: int | None = None) -> set[tuple[int, ...]] | None:
+             limit: int) -> set[tuple[int, ...]] | None:
     """Multiplicative closure of the generators; None if it exceeds limit."""
     ident = identity_tuple(degree)
     seen = {ident}
@@ -150,72 +86,11 @@ def _closure(gens: Sequence[tuple[int, ...]], degree: int,
                 f = mul(e, g)
                 if f not in seen:
                     seen.add(f)
-                    if limit is not None and len(seen) > limit:
+                    if len(seen) > limit:
                         return None
                     nxt.append(f)
         frontier = nxt
     return seen
-
-
-def _small_generating_set(elems: set[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
-    gens: list[tuple[int, ...]] = []
-    span: set[tuple[int, ...]] = {identity_tuple(degree)}
-    for e in sorted(elems):
-        if e in span:
-            continue
-        gens.append(e)
-        span = _closure(gens, degree)  # type: ignore[assignment]
-        if len(span) == len(elems):
-            break
-    return gens
-
-
-def _normal_closure_in(seed: list[tuple[int, ...]], gens: Sequence[tuple[int, ...]],
-                       degree: int) -> set[tuple[int, ...]]:
-    """Closure of ``seed`` under multiplication and conjugation by ``gens``."""
-    ident = identity_tuple(degree)
-    closure_gens = [t for t in seed if t != ident]
-    if not closure_gens:
-        return {ident}
-    gen_invs = [inv(g) for g in gens]
-    span = _closure(closure_gens, degree)
-    assert span is not None
-    while True:
-        new = []
-        for t in closure_gens:
-            for g, gi in zip(gens, gen_invs):
-                c = mul(mul(gi, t), g)
-                if c not in span:
-                    new.append(c)
-        if not new:
-            return span
-        closure_gens.extend(new)
-        span = _closure(closure_gens, degree)  # type: ignore[assignment]
-        assert span is not None
-
-
-def _soluble_materialized(elems: set[tuple[int, ...]], degree: int) -> bool:
-    current = elems
-    while len(current) > 1:
-        gens = _small_generating_set(current, degree)
-        seeds = [
-            mul(mul(inv(a), inv(b)), mul(a, b))
-            for i, a in enumerate(gens)
-            for b in gens[i + 1:]
-        ]
-        derived = _normal_closure_in(seeds, gens, degree)
-        if len(derived) == len(current):
-            return False
-        current = derived
-    return True
-
-
-# ---------------------------------------------------------------------------
-# fast pair tests
-# ---------------------------------------------------------------------------
-
-def _abelian_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
-    return mul(xt, yt) == mul(yt, xt)
 
 
 def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
@@ -223,10 +98,10 @@ def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
         return True
     degree = G.degree
     ident = identity_tuple(degree)
-    primes = sorted(set(_prime_factors(_tuple_order(xt))) |
-                    set(_prime_factors(_tuple_order(yt))))
-    xparts = {p: _p_part(xt, p) for p in primes}
-    yparts = {p: _p_part(yt, p) for p in primes}
+    primes = sorted(set(prime_factors(tuple_order(xt))) |
+                    set(prime_factors(tuple_order(yt))))
+    xparts = {p: prime_component(xt, (p,)) for p in primes}
+    yparts = {p: prime_component(yt, (p,)) for p in primes}
     for p in primes:
         for q in primes:
             if p != q and mul(xparts[p], yparts[q]) != mul(yparts[q], xparts[p]):
@@ -236,14 +111,8 @@ def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
         gens = [t for t in (a, b) if t != ident]
         if len(gens) < 2:
             continue
-        sylow_bound, _ = _p_part_exponent(G.order, p)
-        span = _closure(gens, degree, limit=sylow_bound)
-        if span is None:
-            return False
-        n = len(span)
-        while n % p == 0:
-            n //= p
-        if n != 1:
+        span = _closure(gens, degree, limit=pi_part(G.order, (p,)))
+        if span is None or pi_part(len(span), (p,)) != len(span):
             return False
     return True
 
@@ -251,21 +120,14 @@ def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
 def _order_forces_soluble(n: int) -> bool:
     """Orders that admit no insoluble group: odd (Feit-Thompson) or with at
     most two prime divisors (Burnside)."""
-    return n < _SMALLEST_INSOLUBLE or n % 2 == 1 or len(_prime_factors(n)) <= 2
+    return n < _SMALLEST_INSOLUBLE or n % 2 == 1 or len(prime_factors(n)) <= 2
 
 
 def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     if mul(xt, yt) == mul(yt, xt):
         return True
-    span = _closure([xt, yt], G.degree, limit=_CLOSURE_AMBIENT_MAX)
-    if span is not None:
-        if _order_forces_soluble(len(span)):
-            return True
-        key = frozenset(span)
-        cached = G.subgroup_cache.setdefault(key, {})
-        if "soluble" not in cached:
-            cached["soluble"] = _soluble_materialized(span, G.degree)
-        return cached["soluble"]
+    # the chain gives the order without listing elements; the derived
+    # series runs only when the order leaves the answer open
     sub = FiniteGroup(G.degree, [Permutation(xt), Permutation(yt)], cap=G.cap)
     if _order_forces_soluble(sub.order):
         return True

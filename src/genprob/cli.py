@@ -3,9 +3,13 @@ wreath verification, and towers.
 
 Every report embeds the tool version, the run configuration, and the seed;
 probabilities are exact rationals rendered as {num, den}.  Output is
-deterministic: the same config and seed produce byte-identical JSON for any
-worker count (the worker count is deliberately left out of the config echo).
-Exit status is 0 only when every identity asserted during the run holds.
+deterministic: the same config and seed produce byte-identical JSON.  The
+``--workers`` value changes neither the output nor the work, and is left out
+of the config echo.
+
+Exit status is 0 when every check asserted during the run holds, 1 when an
+identity, diameter bound or monotonicity check fails, and 2 on bad input or
+a refused run, which prints one ``Error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
 from . import __version__
 from .catalog import list_entries, load
 from .classes import class_by_name
-from .errors import GroupError, ParseError
+from .errors import GroupError
 from .graphs import build_graph, components_and_diameters
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
 from .perm import Permutation
@@ -37,6 +42,38 @@ DOT_VERTEX_LIMIT = 500
 
 CAP_ENV = "GENPROB_CAP"
 PAIR_BUDGET_ENV = "GENPROB_PAIR_BUDGET"
+
+WORKERS_HELP = "Accepted for compatibility; changes neither the output nor the work."
+
+
+class InputError(SystemExit):
+    """Exit 2 for bad input or a refused run, after one ``Error:`` line on
+    stderr.  Unlike ``click.ClickException``, which click turns into a bare
+    ``SystemExit``, this exception keeps the message as its text for callers
+    that catch it, such as ``CliRunner``."""
+
+    def __init__(self, message: str):
+        super().__init__(2)
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
+
+
+def _refuse(message: str) -> NoReturn:
+    click.echo(f"Error: {message}", err=True)
+    raise InputError(message)
+
+
+class _Main(click.Group):
+    """The top-level command group: any ``GroupError`` a subcommand raises
+    is bad input, so it exits 2 instead of ending in a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except GroupError as exc:
+            _refuse(str(exc))
 
 
 def _rational(q: Fraction) -> dict:
@@ -58,7 +95,11 @@ def _resolve_pair_budget(budget: int | None) -> int:
 def _load_group(source: str, cap: int) -> FiniteGroup:
     path = Path(source)
     if path.suffix == ".grp" or path.exists():
-        return parse_group_spec(path.read_text(), cap=cap, name=path.stem)
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            _refuse(f"cannot read group file {source}: {exc}")
+        return parse_group_spec(text, cap=cap, name=path.stem)
     return load(source, cap=cap)
 
 
@@ -118,7 +159,7 @@ def _save_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
             }, sort_keys=True) + "\n")
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
     """Exact generation-probability reports for finite groups."""
@@ -146,9 +187,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int | None,
     G = _load_group(group_source, cap)
     C = class_by_name(class_name)
     if G.order ** 2 > budget:
-        raise click.ClickException(
-            f"pair budget: {G.order}^2 pairs exceed --pair-budget {budget}"
-        )
+        _refuse(f"pair budget: {G.order}^2 pairs exceed --pair-budget {budget}")
     if cache_path is not None:
         _load_pair_cache(G, class_name, cache_path)
 
@@ -190,7 +229,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int | None,
               type=click.Choice(["abelian", "nilpotent", "soluble"]))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--cap", type=int, default=None)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--dot", "dot_path", type=click.Path(path_type=Path), default=None,
               help=f"Write a DOT edge dump (graphs up to {DOT_VERTEX_LIMIT} vertices).")
 def graph(group_source: str, class_name: str, fmt: str, cap: int | None,
@@ -227,7 +266,7 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int | None,
 
     if dot_path is not None:
         if len(g.vertices) > DOT_VERTEX_LIMIT:
-            raise click.ClickException(
+            _refuse(
                 f"DOT dump limited to {DOT_VERTEX_LIMIT} vertices "
                 f"(graph has {len(g.vertices)})"
             )
@@ -311,12 +350,12 @@ SELFTEST_GROUPS = ("S3", "A4", "D12", "Q8", "SL23", "S4", "A5")
 
 @main.command()
 @click.option("--seed", type=int, default=0)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def selftest(seed: int, workers: int, fmt: str) -> None:
     """Deterministic identity and graph suite over a fixed group sample.
 
-    The same seed yields byte-identical output for any worker count.
+    The same seed yields byte-identical output.
     """
     from .classes import SOLUBLE
 

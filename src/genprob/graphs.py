@@ -150,10 +150,9 @@ def components_and_diameters(graph: ClassGraph, workers: int = 1) -> GraphReport
     Per-vertex eccentricity equals that of its class representative, so BFS
     runs from representatives only; a component's diameter is the maximum of
     those eccentricities over its vertices.  Singleton components have
-    diameter 0.
+    diameter 0.  ``workers`` is accepted for compatibility; the BFS runs
+    serially, so it changes neither the report nor the work done.
     """
-    from .util import parallel_map
-
     G = graph.group
     label = G.name or f"group(order={G.order})"
     report = GraphReport(label, graph.class_name, len(graph.vertices.members))
@@ -178,16 +177,9 @@ def components_and_diameters(graph: ClassGraph, workers: int = 1) -> GraphReport
     source_reps = sorted({reps[class_of[v]] for v in vertex_set})
     # representatives of vertex classes are themselves vertices: the vertex
     # set is closed under conjugation
-    eccentricities = dict(
-        zip(
-            source_reps,
-            parallel_map(
-                lambda r: max(_bfs_distances(graph, r).values(), default=0),
-                source_reps,
-                workers,
-            ),
-        )
-    )
+    eccentricities = {
+        r: max(_bfs_distances(graph, r).values(), default=0) for r in source_reps
+    }
 
     for comp_id, members in enumerate(component_members):
         diameter = (

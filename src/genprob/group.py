@@ -172,18 +172,24 @@ class FiniteGroup:
                 raise DegreeMismatch(
                     f"generator {g} has degree {g.degree}, expected {degree}"
                 )
+        chain = StabilizerChain(degree, (g.images for g in generators))
+        self._set_fields(degree, generators, chain, cap, name)
+
+    def _set_fields(self, degree: int, generators: Sequence[Permutation],
+                    chain: StabilizerChain, cap: int, name: str | None) -> None:
+        """Set every instance attribute; ``__init__`` and normal closures,
+        which arrive with a built chain, both come through here."""
         self.degree = degree
         self.generators = tuple(generators)
         self.cap = cap
         self.name = name
         self._gen_tuples = tuple(g.images for g in generators)
-        self.chain = StabilizerChain(degree, self._gen_tuples)
-        self.order: int = self.chain.order()
+        self.chain = chain
+        self.order: int = chain.order()
         self._elements: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
-        # shared caches used by the class / probability machinery
+        # shared cache used by the class / probability machinery
         self.pair_cache: dict[str, dict[tuple, bool]] = {}
-        self.subgroup_cache: dict[frozenset, dict[str, bool]] = {}
         self._class_data: tuple | None = None
 
     # -- identity / keys ----------------------------------------------------
@@ -293,18 +299,8 @@ class FiniteGroup:
                     worklist.append(c)
                     chain._add_generator(c, 0)
         sub = FiniteGroup.__new__(FiniteGroup)
-        sub.degree = self.degree
-        sub.generators = tuple(Permutation(t) for t in closure_gens)
-        sub.cap = self.cap
-        sub.name = None
-        sub._gen_tuples = tuple(closure_gens)
-        sub.chain = chain
-        sub.order = chain.order()
-        sub._elements = None
-        sub._index = None
-        sub.pair_cache = {}
-        sub.subgroup_cache = {}
-        sub._class_data = None
+        sub._set_fields(self.degree, [Permutation(t) for t in closure_gens],
+                        chain, self.cap, None)
         return sub
 
     # -- elementwise structure ---------------------------------------------------

@@ -16,8 +16,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DegreeMismatch, ParseError
+from .util import pi_part
 
-__all__ = ["Permutation", "mul", "inv", "identity_tuple"]
+__all__ = [
+    "Permutation", "mul", "inv", "identity_tuple", "tuple_order", "tuple_power",
+    "prime_component",
+]
 
 
 # Internal arithmetic works on plain image tuples; the Permutation wrapper
@@ -37,6 +41,52 @@ def inv(p: tuple[int, ...]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def tuple_order(p: tuple[int, ...]) -> int:
+    """Order of p: the lcm of its cycle lengths."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        if seen[start] or p[start] == start:
+            continue
+        length = 1
+        seen[start] = True
+        j = p[start]
+        while j != start:
+            seen[j] = True
+            length += 1
+            j = p[j]
+        order = math.lcm(order, length)
+    return order
+
+
+def tuple_power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """p ** k for k >= 0, by binary powering from the identity."""
+    result = identity_tuple(len(p))
+    base = p
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        k >>= 1
+    return result
+
+
+def prime_component(p: tuple[int, ...], primes: Iterable[int]) -> tuple[int, ...]:
+    """The component of p in <p> whose order involves only ``primes``.
+
+    With |p| = a*b, a the part over ``primes``, this is p ** e for
+    e = 1 mod a and e = 0 mod b.
+    """
+    o = tuple_order(p)
+    a = pi_part(o, primes)
+    b = o // a
+    if a == 1:
+        return identity_tuple(len(p))
+    if b == 1:
+        return p
+    return tuple_power(p, b * pow(b, -1, a))
 
 
 @dataclass(frozen=True, order=True)
@@ -76,20 +126,13 @@ class Permutation:
             # x ** g is conjugation g^-1 x g
             return k.inverse() * self * k
         base = self.images if k >= 0 else inv(self.images)
-        result = identity_tuple(self.degree)
-        e = abs(k)
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            e >>= 1
-        return Permutation(result)
+        return Permutation(tuple_power(base, abs(k)))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
+        return tuple_order(self.images)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles sorted by smallest moved point; fixed points omitted."""

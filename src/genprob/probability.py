@@ -18,7 +18,8 @@ from typing import Sequence
 from .classes import GroupClass, pair_in_group
 from .errors import EmptySet, NotInGroup
 from .group import ElementSet, FiniteGroup
-from .perm import Permutation, identity_tuple, inv, mul
+from .perm import Permutation, mul, prime_component, tuple_order
+from .util import prime_factors
 
 __all__ = [
     "ProbabilityReport",
@@ -315,23 +316,6 @@ def partition_identity_check(
 # the nilpotent NQ bound
 # ---------------------------------------------------------------------------
 
-def _pi_prime_part(p: Permutation, pi: frozenset[int]) -> Permutation:
-    """The product of the q-components of p over primes q outside pi."""
-    o = p.order()
-    a = 1
-    for q in pi:
-        while o % q == 0:
-            a *= q
-            o //= q
-    b = o  # pi'-part of the order
-    if a == 1:
-        return p
-    if b == 1:
-        return Permutation(identity_tuple(p.degree))
-    e = a * pow(a, -1, b)
-    return p ** e
-
-
 def hall_bound_check(
     G: FiniteGroup, Q: FiniteGroup, u: Permutation, v: Permutation
 ) -> CheckReport:
@@ -340,7 +324,7 @@ def hall_bound_check(
     subgroup is at most |Q : C_Q(R)|^-1, R the Hall subgroup of N away from
     the primes of Q.
     """
-    from .classes import NILPOTENT, _prime_factors
+    from .classes import NILPOTENT
 
     failures = []
     for qg in Q.generators:
@@ -360,8 +344,12 @@ def hall_bound_check(
     if failures:
         return CheckReport("hall bound preconditions", False, {"failures": failures})
 
-    pi = frozenset(_prime_factors(Q.order))
-    R_elems = {(_pi_prime_part(n, pi)).images for n in N.elements()}
+    pi = frozenset(prime_factors(Q.order))
+    R_elems = {
+        # the pi'-component: the part over the primes of |n| outside pi
+        prime_component(n, [q for q in prime_factors(tuple_order(n)) if q not in pi])
+        for n in N.element_tuples()
+    }
     R_group = G.subgroup([Permutation(t) for t in sorted(R_elems)])
     subgroup_ok = R_group.order == len(R_elems)
 

@@ -1,22 +1,30 @@
-"""Small shared helpers."""
+"""Small shared number helpers."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Iterable
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    """Ordered map, optionally over a thread pool.
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
-    Results are assembled in input order, so the outcome is identical for any
-    worker count; all call sites are pure queries over immutable groups plus
-    idempotent caches.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+
+def pi_part(n: int, primes: Iterable[int]) -> int:
+    """The largest divisor of n whose prime factors all lie in ``primes``."""
+    part = 1
+    for p in primes:
+        while n % p == 0:
+            part *= p
+            n //= p
+    return part

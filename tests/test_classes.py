@@ -70,6 +70,21 @@ class TestPairTest:
         S3 = catalog_group("S3")
         assert check_pair(NILPOTENT, S3, P("(1,2)", 3), P("(1,2)", 3))
         assert not check_pair(NILPOTENT, S3, P("(1,2)", 3), P("(1,2,3)", 3))
+        # one case per return of the soluble pair test
+        A7, S3xA5 = catalog_group("A7"), catalog_group("S3xA5")
+        for G, x, y, expected in [
+            (A7, "(1,2,3)", "(4,5,6)", True),                  # commuting pair
+            (A7, "(1,2,3)", "(2,3,4)", True),                  # A4: order forces it
+            (A7, "(1,2,3)", "(1,2,3,4,5,6,7)", False),         # all of A7
+            (A7, "(1,2,3)", "(1,2,3,4,5)", False),             # A5 < A7
+            # S3 x D10, order 60 = 2^2 * 3 * 5: only its derived series decides
+            (S3xA5, "(1,2)(4,5,6,7,8)", "(1,2,3)(5,8)(6,7)", True),
+        ]:
+            x, y = P(x, G.degree), P(y, G.degree)
+            assert check_pair(SOLUBLE, G, x, y) is expected
+            assert pair_by_predicate(SOLUBLE, G, x, y) is expected
+        # the S3 x D10 pair: its order leaves the answer open
+        assert not _order_forces_soluble(S3xA5.subgroup([x, y]).order)
 
     def test_cache_hits_are_consistent(self):
         G = catalog_group("S4")

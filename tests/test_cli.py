@@ -116,6 +116,30 @@ class TestGraph:
         assert not dot.exists()
 
 
+class TestInputErrors:
+    """Bad input exits 2 with one line on stderr; exit 1 means a failed check."""
+
+    def analyze(self, runner, group):
+        result = runner.invoke(main, ["analyze", "--group", group, "--class", "abelian"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: ")
+        return result.stderr
+
+    def test_unknown_group_name(self, runner):
+        assert "nosuch" in self.analyze(runner, "nosuch")
+
+    def test_directory_as_group(self, runner, tmp_path):
+        assert "Is a directory" in self.analyze(runner, str(tmp_path))
+
+    def test_malformed_group_file(self, runner, tmp_path):
+        spec = tmp_path / "bad.grp"
+        spec.write_text("degree 4\n(1,2,\n")
+        assert "line 2" in self.analyze(runner, str(spec))
+
+
 class TestWreathAndTower:
     def test_wreath_verify(self, runner):
         result, report = run_json(runner, ["wreath", "verify", "--samples", "5", "--seed", "0"])

@@ -131,6 +131,11 @@ class TestStructure:
         assert S4.normal_closure([P("(1,2)", 4)]).order == 24
         assert S4.normal_closure([P("(1,2,3)", 4)]).order == 12
 
+    def test_normal_closure_has_the_constructor_fields(self):
+        G = FiniteGroup(4, [P("(1,2,3,4)", 4), P("(1,2)", 4)])
+        N = G.normal_closure([P("(1,2,3)", 4)])
+        assert set(vars(N)) == set(vars(FiniteGroup(4, [P("(1,2,3)", 4)])))
+
 
 class TestQuotients:
     def test_s4_mod_klein(self):
