@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -135,28 +136,49 @@ def _envelope(command: str, config: dict, seed: int | None = None) -> dict:
     return report
 
 
+CACHE_KEYS = ("group", "class", "pair", "result")
+
+
 def _load_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
     if not path.exists():
         return
     cache = G.pair_cache.setdefault(class_name, {})
-    with path.open() as f:
-        for line in f:
-            record = json.loads(line)
-            if record["group"] == G.cache_key and record["class"] == class_name:
-                xt, yt = (tuple(t) for t in record["pair"])
-                cache[(xt, yt)] = record["result"]
+    points = list(range(G.degree))
+    try:
+        with path.open() as f:
+            for lineno, line in enumerate(f, start=1):
+                try:
+                    record = json.loads(line)
+                    if not isinstance(record, dict) or not set(CACHE_KEYS) <= record.keys():
+                        raise ValueError(f"a record needs the keys {', '.join(CACHE_KEYS)}")
+                    group, cls, pair, result = (record[k] for k in CACHE_KEYS)
+                    if not isinstance(result, bool):
+                        raise ValueError("result is not true or false")
+                    if group == G.cache_key and cls == class_name:
+                        xt, yt = (tuple(map(operator.index, t)) for t in pair)
+                        if sorted(xt) != points or sorted(yt) != points:
+                            raise ValueError(
+                                f"pair is not two permutations of degree {G.degree}")
+                        cache[(xt, yt)] = result
+                except (TypeError, ValueError) as exc:
+                    _refuse(f"pair cache {path}, line {lineno}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        _refuse(f"cannot read pair cache {path}: {exc}")
 
 
 def _save_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
     cache = G.pair_cache.get(class_name, {})
-    with path.open("w") as f:
-        for (xt, yt), result in sorted(cache.items()):
-            f.write(json.dumps({
-                "group": G.cache_key,
-                "class": class_name,
-                "pair": [list(xt), list(yt)],
-                "result": result,
-            }, sort_keys=True) + "\n")
+    try:
+        with path.open("w") as f:
+            for (xt, yt), result in sorted(cache.items()):
+                f.write(json.dumps({
+                    "group": G.cache_key,
+                    "class": class_name,
+                    "pair": [list(xt), list(yt)],
+                    "result": result,
+                }, sort_keys=True) + "\n")
+    except OSError as exc:
+        _refuse(f"cannot write pair cache {path}: {exc}")
 
 
 @click.group(cls=_Main)

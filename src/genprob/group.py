@@ -73,14 +73,6 @@ class StabilizerChain:
     def order(self) -> int:
         return math.prod(len(lv.orbit) for lv in self.levels)
 
-    def strong_generators(self) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        for lv in self.levels:
-            for g in lv.gens:
-                if g not in out:
-                    out.append(g)
-        return out
-
     def sift(self, p: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """Strip p through the chain; returns (residue, level reached)."""
         for i in range(start, len(self.levels)):

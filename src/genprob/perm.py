@@ -189,15 +189,5 @@ class Permutation:
                 images[a] = b
         return cls(tuple(images))
 
-    @classmethod
-    def from_cycles(cls, cycles: Iterable[Iterable[int]], degree: int) -> "Permutation":
-        """Build from 0-indexed cycles."""
-        images = list(range(degree))
-        for cyc in cycles:
-            pts = list(cyc)
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                images[a] = b
-        return cls(tuple(images))
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.images)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .classes import GroupClass, NILPOTENT, SOLUBLE
 from .errors import CapExceeded, GroupError
-from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup
+from .group import DEFAULT_MATERIALIZATION_CAP, ElementSet, FiniteGroup
 from .perm import Permutation
 from .probability import hypercenter, omega_global, prob_elem, soluble_radical
 
@@ -121,6 +121,7 @@ class MonotonicityReport:
     sequence: list[Fraction]
     monotone: bool
     violations: list[int] = field(default_factory=list)
+    sequence_with_orders: list[tuple[int, Fraction]] = field(default_factory=list)
 
     @property
     def inf_upper_bound(self) -> Fraction:
@@ -142,8 +143,6 @@ class MonotonicityReport:
             },
         }
 
-    sequence_with_orders: list = field(default_factory=list)
-
 
 def monotonicity_report(
     C: GroupClass, tower: QuotientTower, track: str
@@ -154,13 +153,10 @@ def monotonicity_report(
     violations = [
         k for k in range(len(seq) - 1) if seq[k + 1] > seq[k]
     ]
-    report = MonotonicityReport(
-        tower.name, C.name, track, seq, not violations, violations
+    return MonotonicityReport(
+        tower.name, C.name, track, seq, not violations, violations,
+        [(G.order, q) for G, q in zip(tower.levels, seq)],
     )
-    report.sequence_with_orders = [
-        (G.order, q) for G, q in zip(tower.levels, seq)
-    ]
-    return report
 
 
 @dataclass
@@ -181,6 +177,15 @@ class PositivityReport:
         }
 
 
+def _core(C: GroupClass, G: FiniteGroup) -> ElementSet:
+    """The set whose index per level the verdict follows."""
+    if C.name == SOLUBLE.name:
+        return soluble_radical(G)
+    if C.name == NILPOTENT.name:
+        return hypercenter(G)
+    return omega_global(C, G)
+
+
 def positivity_verdict(
     C: GroupClass, tower: QuotientTower, track: str | None = None
 ) -> PositivityReport:
@@ -192,23 +197,16 @@ def positivity_verdict(
     finite-by-pronilpotent pattern, diverging means positivity fails along
     the tower (the probability sequence tends to the infimum 0).
     """
+    indices = [G.order // len(_core(C, G)) for G in tower.levels]
+    stabilized = len(indices) >= 2 and indices[-1] == indices[-2]
     if C.name == SOLUBLE.name:
-        indices = [G.order // len(soluble_radical(G)) for G in tower.levels]
-        stabilized = len(indices) >= 2 and indices[-1] == indices[-2]
         verdict = "virtually prosoluble" if stabilized else "index still growing"
-    elif C.name == NILPOTENT.name:
-        indices = [G.order // len(hypercenter(G)) for G in tower.levels]
-        stabilized = len(indices) >= 2 and indices[-1] == indices[-2]
-        if stabilized:
-            verdict = "finite-by-pronilpotent"
-        elif track is not None:
-            verdict = f"not nilpotent-positive along track {track!r}"
-        else:
-            verdict = "hypercenter index diverging"
-    else:
-        indices = [
-            G.order // len(omega_global(C, G)) for G in tower.levels
-        ]
-        stabilized = len(indices) >= 2 and indices[-1] == indices[-2]
+    elif C.name != NILPOTENT.name:
         verdict = "global omega index stabilized" if stabilized else "index still growing"
+    elif stabilized:
+        verdict = "finite-by-pronilpotent"
+    elif track is not None:
+        verdict = f"not nilpotent-positive along track {track!r}"
+    else:
+        verdict = "hypercenter index diverging"
     return PositivityReport(tower.name, C.name, indices, verdict, track)

@@ -6,22 +6,27 @@ of the top group, with the top acting by the regular action.  Only the first
 level (base length 60) is materialized; level two would have base length
 60^61 and is out of reach by design.
 
-Multiplication convention: for a = (f, s) and b = (g, t),
-``(a*b).base[x] = f(x) * g(x*s)`` and ``(a*b).top = s*t``.  This is the one
-convention under which conjugating a base-only element w by rho = m*z
-satisfies ``(w^rho)[x] = (w[x*z^-1]) conjugated by m[x*z^-1]``, which the
-regression tests pin down.
+An element (f, s) is stored as one permutation of d*60 = 300 points, d = 5
+the degree of the bottom group: point ``d*x + p`` goes to
+``d*(x.s) + f(x)(p)``, where ``x.s`` is the index of ``elements[x] * s``.
+Composing two such maps left to right, as ``perm.mul`` does, gives for
+a = (f, s) and b = (g, t) the product ``(a*b).base[x] = f(x) * g(x.s)`` and
+``(a*b).top = s*t``.  This is the one convention under which conjugating a
+base-only element w by rho = m*z satisfies
+``(w^rho)[x] = (w[x*z^-1]) conjugated by m[x*z^-1]``, which the regression
+tests pin down.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .errors import GroupError, NotInGroup
 from .group import ElementSet, FiniteGroup
-from .perm import Permutation
+from .perm import Permutation, identity_tuple, inv, mul, tuple_order, tuple_power
 
 __all__ = [
     "WreathLevel",
@@ -65,79 +70,75 @@ class WreathLevel:
     def order(self) -> int:
         return self.bottom.order ** self.top.order * self.top.order
 
-    def index_of(self, x: Permutation) -> int:
-        return self.top.index_of(x)
+    @cached_property
+    def _shifts(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Regular action: each top element s as the index map x -> x.s."""
+        elems = self.top.element_tuples()
+        return {s: tuple(self.top.index_of(mul(x, s)) for x in elems) for s in elems}
+
+    def element(self, base: Sequence[Permutation], s: Permutation) -> "WreathElement":
+        """The element (base, s); ``base[x]`` is the coordinate at top index x."""
+        if len(base) != self.base_length:
+            raise GroupError("base length mismatch")
+        shift = self._shifts.get(s.images)
+        if shift is None:
+            raise NotInGroup(f"{s} is not an element of {self.top!r}")
+        d = self.bottom.degree
+        images = tuple(d * xs + v for y, xs in zip(base, shift) for v in y.images)
+        return WreathElement(images, self)
 
     def identity(self) -> "WreathElement":
-        bot_id = self.bottom.identity
-        return WreathElement((bot_id,) * self.base_length, self.top.identity)
+        return WreathElement(identity_tuple(self.bottom.degree * self.base_length), self)
 
     def from_base(self, coords: dict[Permutation, Permutation]) -> "WreathElement":
         base = [self.bottom.identity] * self.base_length
         for x, y in coords.items():
-            base[self.index_of(x)] = y
-        return WreathElement(tuple(base), self.top.identity)
+            base[self.top.index_of(x)] = y
+        return self.element(base, self.top.identity)
 
     def from_top(self, s: Permutation) -> "WreathElement":
-        self.top._require_member(s)
-        return WreathElement((self.bottom.identity,) * self.base_length, s)
-
-    def validate(self, w: "WreathElement") -> None:
-        if len(w.base) != self.base_length:
-            raise GroupError("base length mismatch")
-        if not self.top.contains(w.top):
-            raise NotInGroup("top component outside the top group")
-        for y in w.base:
-            if not self.bottom.contains(y):
-                raise NotInGroup("base coordinate outside the bottom group")
+        return self.element((self.bottom.identity,) * self.base_length, s)
 
     def multiply(self, a: "WreathElement", b: "WreathElement") -> "WreathElement":
-        elems = self.top.elements()
-        idx = self.top.index_of
-        base = tuple(
-            a.base[i] * b.base[idx(elems[i] * a.top)]
-            for i in range(self.base_length)
-        )
-        return WreathElement(base, a.top * b.top)
+        return WreathElement(mul(a.images, b.images), self)
 
     def inverse(self, a: "WreathElement") -> "WreathElement":
-        elems = self.top.elements()
-        idx = self.top.index_of
-        top_inv = a.top.inverse()
-        base = tuple(
-            a.base[idx(elems[i] * top_inv)].inverse()
-            for i in range(self.base_length)
-        )
-        return WreathElement(base, top_inv)
+        return WreathElement(inv(a.images), self)
 
     def power(self, a: "WreathElement", k: int) -> "WreathElement":
-        result = self.identity()
-        current = a if k >= 0 else self.inverse(a)
-        for _ in range(abs(k)):
-            result = self.multiply(result, current)
-        return result
+        images = a.images if k >= 0 else inv(a.images)
+        return WreathElement(tuple_power(images, abs(k)), self)
 
     def conjugate(self, w: "WreathElement", rho: "WreathElement") -> "WreathElement":
-        return self.multiply(self.multiply(self.inverse(rho), w), rho)
+        return WreathElement(mul(mul(inv(rho.images), w.images), rho.images), self)
 
     def element_order(self, a: "WreathElement") -> int:
-        ident = self.identity()
-        current = a
-        n = 1
-        while current != ident:
-            current = self.multiply(current, a)
-            n += 1
-        return n
+        return tuple_order(a.images)
 
 
 @dataclass(frozen=True)
 class WreathElement:
-    base: tuple[Permutation, ...]
-    top: Permutation
+    """An element of ``level`` as its image tuple (see the module docstring)."""
+
+    images: tuple[int, ...]
+    level: WreathLevel = field(compare=False, repr=False)
+
+    def coordinate(self, x: int) -> Permutation:
+        """The base coordinate at top index x, decoded from block x alone."""
+        d = self.level.bottom.degree
+        return Permutation(tuple(v % d for v in self.images[d * x:d * x + d]))
+
+    @property
+    def base(self) -> tuple[Permutation, ...]:
+        return tuple(self.coordinate(x) for x in range(self.level.base_length))
+
+    @property
+    def top(self) -> Permutation:
+        return self.level.top.element_at(self.images[0] // self.level.bottom.degree)
 
     @property
     def in_socle(self) -> bool:
-        return self.top.is_identity()
+        return self.images[0] < self.level.bottom.degree
 
 
 @dataclass(frozen=True)
@@ -150,9 +151,6 @@ class Transversal:
     def __post_init__(self) -> None:
         if not any(r.is_identity() for r in self.representatives):
             raise GroupError("transversal must contain the identity")
-
-    def __len__(self) -> int:
-        return len(self.representatives)
 
 
 def _coset_key(top: FiniteGroup, x: Permutation, g: Permutation) -> frozenset[int]:
@@ -235,7 +233,7 @@ def projection(level: WreathLevel, w: WreathElement, x: Permutation) -> Permutat
     """Coordinate of a socle element at the index of x."""
     if not w.in_socle:
         raise GroupError("projection is only defined on socle elements")
-    return w.base[level.index_of(x)]
+    return w.coordinate(level.top.index_of(x))
 
 
 def base_level() -> tuple[WreathLevel, Permutation]:
@@ -254,6 +252,8 @@ class GenerationReport:
     checks: int
     passed: int
     failures: list[str] = field(default_factory=list)
+    # image tuples of the u for which <alpha, beta^u> is all of Alt(5)
+    generating: set[tuple[int, ...]] = field(default_factory=set)
 
     @property
     def all_passed(self) -> bool:
@@ -270,6 +270,7 @@ def verify_alpha_beta_generation() -> GenerationReport:
         sub = A5.subgroup([ALPHA, BETA ** u])
         if sub.order == 60:
             report.passed += 1
+            report.generating.add(u.images)
         else:
             report.failures.append(f"u={u}: order {sub.order}")
     return report
@@ -341,11 +342,6 @@ def verify_lemma_mechanism(
     pattern = h_pattern_ok(level, h, g_top)
 
     gen_report = verify_alpha_beta_generation()
-    # order of <alpha, beta^u> keyed by u, reused for every sampled check
-    A5 = alt5()
-    gen_ok = {
-        u.images: A5.subgroup([ALPHA, BETA ** u]).order == 60 for u in A5.elements()
-    }
 
     cyclic = {g_top ** k for k in range(g_top.order())}
     top_elems = level.top.elements()
@@ -358,7 +354,7 @@ def verify_lemma_mechanism(
         if z in cyclic:
             # rho = m*z stays in socle*<g> for any base part m
             containment_checks += 1
-            m = WreathElement(
+            m = level.element(
                 tuple(rng.choice(bottom_elems) for _ in range(level.base_length)),
                 level.top.identity,
             )
@@ -367,10 +363,10 @@ def verify_lemma_mechanism(
                 containment_passed += 1
             continue
         z_inv = z.inverse()
-        witness_coord = level.index_of(ident_idx_coord * z_inv)  # x z^-1 with x = 1
+        witness_coord = level.top.index_of(ident_idx_coord * z_inv)  # x z^-1 with x = 1
         for _ in range(samples):
             base = tuple(rng.choice(bottom_elems) for _ in range(level.base_length))
-            rho = WreathElement(base, z)
+            rho = level.element(base, z)
             sampled_checks += 1
             h_rho = level.conjugate(h, rho)
             p1 = projection(level, h, ident_idx_coord)
@@ -379,7 +375,8 @@ def verify_lemma_mechanism(
             # conjugated by the base entry there
             u = base[witness_coord]
             expected = projection(level, h, ident_idx_coord * z_inv) ** u
-            if p1 == ALPHA and p2 == expected == BETA ** u and gen_ok[u.images]:
+            generates = u.images in gen_report.generating
+            if p1 == ALPHA and p2 == expected == BETA ** u and generates:
                 sampled_passed += 1
 
     return MechanismReport(

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from genprob import __version__
+from genprob.catalog import load
 from genprob.cli import main
 
 
@@ -138,6 +139,48 @@ class TestInputErrors:
         spec = tmp_path / "bad.grp"
         spec.write_text("degree 4\n(1,2,\n")
         assert "line 2" in self.analyze(runner, str(spec))
+
+    def analyze_cache(self, runner, cache):
+        result = runner.invoke(
+            main, ["analyze", "--group", "S3", "--class", "soluble", "--cache", str(cache)]
+        )
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: ")
+        return result.stderr
+
+    def test_malformed_cache_line(self, runner, tmp_path):
+        cache = tmp_path / "pairs.jsonl"
+        cache.write_text("{not json\n")
+        assert "line 1" in self.analyze_cache(runner, cache)
+
+    def test_directory_as_cache(self, runner, tmp_path):
+        assert "Is a directory" in self.analyze_cache(runner, tmp_path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("result", None, "a record needs the keys"),  # None drops the key
+        ("result", 1, "result is not true or false"),
+        ("pair", [[0, 1, 2], [1, 1, 0]], "pair is not"),
+        ("pair", [[0, 1, 2, 3], [1, 0, 2, 3]], "pair is not"),
+        ("pair", [[0.0, 1, 2], [1, 2, 0]], "cannot be interpreted as an integer"),
+    ], ids=["missing-key", "result-not-bool", "not-a-permutation", "wrong-degree",
+            "float-point"])
+    def test_bad_cache_record(self, runner, tmp_path, key, value, message):
+        record = {"class": "soluble", "group": load("S3").cache_key,
+                  "pair": [[0, 1, 2], [1, 2, 0]], "result": True}
+        if value is None:
+            del record[key]
+        else:
+            record[key] = value
+        cache = tmp_path / "pairs.jsonl"
+        cache.write_text(json.dumps(record) + "\n")
+        assert message in self.analyze_cache(runner, cache)
+
+    def test_unwritable_cache(self, runner, tmp_path):
+        cache = tmp_path / "missing-dir" / "pairs.jsonl"
+        assert "cannot write pair cache" in self.analyze_cache(runner, cache)
 
 
 class TestWreathAndTower:

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from genprob import GroupError, Permutation
+from genprob import GroupError, NotInGroup, Permutation
 from genprob.wreath import (
     ALPHA,
     BETA,
@@ -68,6 +70,60 @@ class TestArithmetic:
         for x in level.top.elements():
             expected = coords.get(x * z.inverse(), level.bottom.identity)
             assert projection(level, conj, x) == expected
+
+
+@pytest.fixture(scope="module")
+def random_elements(level):
+    rng = random.Random(2024)
+    bottom, top = level.bottom.elements(), level.top.elements()
+    return [
+        level.element([rng.choice(bottom) for _ in range(level.base_length)], rng.choice(top))
+        for _ in range(5)
+    ]
+
+
+class TestEncodingOracle:
+    """Seeded random elements against the product formula of the module
+    docstring, read off the decoded base and top."""
+
+    def test_decode_round_trip(self, level, random_elements):
+        for a in random_elements:
+            assert level.element(a.base, a.top) == a
+            assert a.in_socle == a.top.is_identity()
+
+    def test_product_formula(self, level, random_elements):
+        top_elems = level.top.elements()
+        idx = level.top.index_of
+        for a in random_elements:
+            for b in random_elements:
+                ab = level.multiply(a, b)
+                assert ab.top == a.top * b.top
+                a_base, b_base, ab_base = a.base, b.base, ab.base
+                for x, y in enumerate(top_elems):
+                    assert ab_base[x] == a_base[x] * b_base[idx(y * a.top)]
+
+    def test_order_by_repeated_product(self, level, random_elements):
+        e = level.identity()
+        for a in random_elements:
+            current, n = a, 1
+            while current != e:
+                current = level.multiply(current, a)
+                n += 1
+            assert level.element_order(a) == n
+
+    def test_negative_power_is_inverse(self, level, random_elements):
+        e = level.identity()
+        for a in random_elements:
+            for k in (0, 1, 2, 7):
+                assert level.multiply(level.power(a, k), level.power(a, -k)) == e
+                assert level.power(a, -k) == level.inverse(level.power(a, k))
+
+    def test_element_rejects_bad_input(self, level):
+        base = [level.bottom.identity] * level.base_length
+        with pytest.raises(NotInGroup):
+            level.element(base, P("(1,2)", 5))
+        with pytest.raises(GroupError):
+            level.element(base[:-1], level.top.identity)
 
 
 class TestConstruction:
