@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import NotInGroup, UnknownName
-from .group import FiniteGroup, direct_product
+from .group import FiniteGroup, bfs_closure, direct_product
 from .perm import Permutation, identity_tuple, mul, prime_component, tuple_order
 from .util import pi_part, prime_factors
 
@@ -73,35 +73,15 @@ def _abelian_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     return mul(xt, yt) == mul(yt, xt)
 
 
-def _closure(gens: Sequence[tuple[int, ...]], degree: int,
-             limit: int) -> set[tuple[int, ...]] | None:
-    """Multiplicative closure of the generators; None if it exceeds limit."""
-    ident = identity_tuple(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                f = mul(e, g)
-                if f not in seen:
-                    seen.add(f)
-                    if len(seen) > limit:
-                        return None
-                    nxt.append(f)
-        frontier = nxt
-    return seen
-
-
 def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     if mul(xt, yt) == mul(yt, xt):
         return True
     degree = G.degree
     ident = identity_tuple(degree)
-    primes = sorted(set(prime_factors(tuple_order(xt))) |
-                    set(prime_factors(tuple_order(yt))))
-    xparts = {p: prime_component(xt, (p,)) for p in primes}
-    yparts = {p: prime_component(yt, (p,)) for p in primes}
+    xo, yo = tuple_order(xt), tuple_order(yt)
+    primes = sorted(set(prime_factors(xo)) | set(prime_factors(yo)))
+    xparts = {p: prime_component(xt, xo, (p,)) for p in primes}
+    yparts = {p: prime_component(yt, yo, (p,)) for p in primes}
     for p in primes:
         for q in primes:
             if p != q and mul(xparts[p], yparts[q]) != mul(yparts[q], xparts[p]):
@@ -111,7 +91,7 @@ def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
         gens = [t for t in (a, b) if t != ident]
         if len(gens) < 2:
             continue
-        span = _closure(gens, degree, limit=pi_part(G.order, (p,)))
+        span = bfs_closure(gens, degree, limit=pi_part(G.order, (p,)))
         if span is None or pi_part(len(span), (p,)) != len(span):
             return False
     return True

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import operator
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +44,13 @@ CAP_ENV = "GENPROB_CAP"
 PAIR_BUDGET_ENV = "GENPROB_PAIR_BUDGET"
 
 WORKERS_HELP = "Accepted for compatibility; changes neither the output nor the work."
+
+# the flag beats the environment variable, which beats the default; click
+# rejects a value that is not an integer with exit 2
+cap_option = click.option(
+    "--cap", type=int, default=DEFAULT_MATERIALIZATION_CAP, envvar=CAP_ENV,
+    help=f"Materialization cap (default from ${CAP_ENV} or "
+         f"{DEFAULT_MATERIALIZATION_CAP}).")
 
 
 class InputError(SystemExit):
@@ -79,18 +85,6 @@ class _Main(click.Group):
 
 def _rational(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
-
-
-def _resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    return int(os.environ.get(CAP_ENV, DEFAULT_MATERIALIZATION_CAP))
-
-
-def _resolve_pair_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get(PAIR_BUDGET_ENV, 10**9))
 
 
 def _load_group(source: str, cap: int) -> FiniteGroup:
@@ -193,23 +187,20 @@ def main() -> None:
 @click.option("--class", "class_name", required=True,
               type=click.Choice(["abelian", "nilpotent", "soluble"]))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--cap", type=int, default=None,
-              help=f"Materialization cap (default from ${CAP_ENV} or "
-                   f"{DEFAULT_MATERIALIZATION_CAP}).")
-@click.option("--pair-budget", type=int, default=None,
-              help=f"Maximum element pairs per run (default from ${PAIR_BUDGET_ENV}).")
+@cap_option
+@click.option("--pair-budget", type=int, default=10**9, envvar=PAIR_BUDGET_ENV,
+              help=f"Maximum element pairs per run (default from ${PAIR_BUDGET_ENV} "
+                   f"or 10^9).")
 @click.option("--cache", "cache_path", type=click.Path(path_type=Path), default=None,
               help="JSON-lines pair-classification cache, reused across runs.")
-def analyze(group_source: str, class_name: str, fmt: str, cap: int | None,
-            pair_budget: int | None, cache_path: Path | None) -> None:
+def analyze(group_source: str, class_name: str, fmt: str, cap: int,
+            pair_budget: int, cache_path: Path | None) -> None:
     """Per-class-representative probabilities, whole-group probability,
     global omega size, and the structural identity checks."""
-    cap = _resolve_cap(cap)
-    budget = _resolve_pair_budget(pair_budget)
     G = _load_group(group_source, cap)
     C = class_by_name(class_name)
-    if G.order ** 2 > budget:
-        _refuse(f"pair budget: {G.order}^2 pairs exceed --pair-budget {budget}")
+    if G.order ** 2 > pair_budget:
+        _refuse(f"pair budget: {G.order}^2 pairs exceed --pair-budget {pair_budget}")
     if cache_path is not None:
         _load_pair_cache(G, class_name, cache_path)
 
@@ -227,7 +218,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int | None,
 
     report = _envelope("analyze", {
         "group": group_source, "class": class_name, "cap": cap,
-        "pair_budget": budget,
+        "pair_budget": pair_budget,
     })
     report.update({
         "group_order": G.order,
@@ -250,14 +241,13 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int | None,
 @click.option("--class", "class_name", required=True,
               type=click.Choice(["abelian", "nilpotent", "soluble"]))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--cap", type=int, default=None)
+@cap_option
 @click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--dot", "dot_path", type=click.Path(path_type=Path), default=None,
               help=f"Write a DOT edge dump (graphs up to {DOT_VERTEX_LIMIT} vertices).")
-def graph(group_source: str, class_name: str, fmt: str, cap: int | None,
+def graph(group_source: str, class_name: str, fmt: str, cap: int,
           workers: int, dot_path: Path | None) -> None:
     """Class graph components, diameters, and the diameter-bound checks."""
-    cap = _resolve_cap(cap)
     G = _load_group(group_source, cap)
     C = class_by_name(class_name)
     g = build_graph(C, G)
@@ -305,7 +295,7 @@ def wreath() -> None:
 
 
 @wreath.command("verify")
-@click.option("--samples", type=int, default=100)
+@click.option("--samples", type=click.IntRange(min=1), default=100)
 @click.option("--seed", type=int, default=0)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def wreath_verify(samples: int, seed: int, fmt: str) -> None:
@@ -328,16 +318,15 @@ def tower() -> None:
 
 @tower.command("dihedral")
 @click.option("--prime", type=int, required=True)
-@click.option("--levels", type=int, required=True)
+@click.option("--levels", type=click.IntRange(min=1), required=True)
 @click.option("--class", "class_name", required=True,
               type=click.Choice(["abelian", "nilpotent", "soluble"]))
 @click.option("--track", type=click.Choice(["x", "r"]), default="x")
-@click.option("--cap", type=int, default=None)
+@cap_option
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def tower_dihedral(prime: int, levels: int, class_name: str, track: str,
-                   cap: int | None, fmt: str) -> None:
+                   cap: int, fmt: str) -> None:
     """Probability sequence along the dihedral tower plus the verdict."""
-    cap = _resolve_cap(cap)
     C = class_by_name(class_name)
     t = dihedral_tower(prime, levels, cap=cap)
     mono = monotonicity_report(C, t, track)

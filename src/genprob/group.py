@@ -23,6 +23,7 @@ from .perm import Permutation, identity_tuple, inv, mul
 __all__ = [
     "FiniteGroup",
     "ElementSet",
+    "bfs_closure",
     "DEFAULT_MATERIALIZATION_CAP",
     "from_generators",
     "direct_product",
@@ -39,6 +40,31 @@ def _conj(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
 
 def _comm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return mul(mul(inv(a), inv(b)), mul(a, b))
+
+
+def bfs_closure(gens: Sequence[tuple[int, ...]], degree: int,
+                limit: int) -> list[tuple[int, ...]] | None:
+    """Breadth-first multiplicative closure of the generators from the
+    identity, in generator order, each new level sorted by image tuple;
+    None as soon as it passes ``limit`` elements."""
+    ident = identity_tuple(degree)
+    seen = {ident}
+    out = [ident]
+    frontier = [ident]
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                f = mul(e, g)
+                if f not in seen:
+                    seen.add(f)
+                    if len(seen) > limit:
+                        return None
+                    new.append(f)
+        new.sort()
+        out.extend(new)
+        frontier = new
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +113,15 @@ class StabilizerChain:
     def contains(self, p: tuple[int, ...]) -> bool:
         residue, _ = self.sift(p)
         return residue == identity_tuple(self.degree)
+
+    def coset_key(self, t: tuple[int, ...]) -> tuple[int, ...]:
+        """The element of the right coset N·t with the least base images,
+        N the group of this chain; two elements share a key iff they share
+        a coset.  Level by level it moves the orbit point with the least
+        image under t onto the base point."""
+        for lv in self.levels:
+            t = mul(lv.orbit[min(lv.orbit, key=t.__getitem__)], t)
+        return t
 
     def _add_generator(self, p: tuple[int, ...], level: int) -> None:
         # p fixes the base points of all levels before `level`
@@ -229,21 +264,8 @@ class FiniteGroup:
                 raise CapExceeded(
                     f"order {self.order} exceeds materialization cap {self.cap}"
                 )
-            ident = identity_tuple(self.degree)
-            seen = {ident}
-            out = [ident]
-            frontier = [ident]
-            while frontier:
-                new = []
-                for e in frontier:
-                    for g in self._gen_tuples:
-                        f = mul(e, g)
-                        if f not in seen:
-                            seen.add(f)
-                            new.append(f)
-                new.sort()
-                out.extend(new)
-                frontier = new
+            out = bfs_closure(self._gen_tuples, self.degree, self.order)
+            assert out is not None
             self._elements = out
             self._index = {t: i for i, t in enumerate(out)}
         return self._elements
@@ -461,37 +483,28 @@ class FiniteGroup:
         if index > self.cap:
             raise CapExceeded(f"index {index} exceeds cap {self.cap}")
 
-        # BFS over right cosets Ng in canonical generator order
+        # BFS over right cosets Ng in canonical generator order, each found
+        # by its key
+        key = normal.chain.coset_key
         reps: list[tuple[int, ...]] = [identity_tuple(self.degree)]
-        rep_inv: list[tuple[int, ...]] = [identity_tuple(self.degree)]
-
-        def coset_index(t: tuple[int, ...]) -> int | None:
-            for j, ri in enumerate(rep_inv):
-                if normal.chain.contains(mul(t, ri)):
-                    return j
-            return None
-
+        coset_of = {key(reps[0]): 0}
         frontier = [0]
         while frontier:
             nxt = []
             for i in frontier:
                 for g in self._gen_tuples:
                     t = mul(reps[i], g)
-                    if coset_index(t) is None:
+                    k = key(t)
+                    if k not in coset_of:
+                        coset_of[k] = len(reps)
                         reps.append(t)
-                        rep_inv.append(inv(t))
                         nxt.append(len(reps) - 1)
             frontier = nxt
         assert len(reps) == index
 
         def project(p: Permutation) -> Permutation:
             self._require_member(p)
-            images = []
-            for rep in reps:
-                j = coset_index(mul(rep, p.images))
-                assert j is not None
-                images.append(j)
-            return Permutation(tuple(images))
+            return Permutation(tuple(coset_of[key(mul(rep, p.images))] for rep in reps))
 
         quotient_group = FiniteGroup(
             max(index, 1),
@@ -547,10 +560,12 @@ class ElementSet:
 
     def conjugate(self, g: Permutation) -> "ElementSet":
         elems = self.group.element_tuples()
+        index_of = self.group.index_of
         gt = g.images
+        gi = inv(gt)
         return ElementSet(
             self.group,
-            frozenset(self.group.index_of(_conj(elems[i], gt)) for i in self.members),
+            frozenset(index_of(mul(mul(gi, elems[i]), gt)) for i in self.members),
         )
 
     def intersection(self, other: "ElementSet") -> "ElementSet":

@@ -73,13 +73,14 @@ def tuple_power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
     return result
 
 
-def prime_component(p: tuple[int, ...], primes: Iterable[int]) -> tuple[int, ...]:
-    """The component of p in <p> whose order involves only ``primes``.
+def prime_component(p: tuple[int, ...], o: int,
+                    primes: Iterable[int]) -> tuple[int, ...]:
+    """The component of p in <p> whose order involves only ``primes``;
+    ``o`` is the order of p.
 
-    With |p| = a*b, a the part over ``primes``, this is p ** e for
+    With o = a*b, a the part over ``primes``, this is p ** e for
     e = 1 mod a and e = 0 mod b.
     """
-    o = tuple_order(p)
     a = pi_part(o, primes)
     b = o // a
     if a == 1:

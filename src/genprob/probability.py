@@ -345,11 +345,11 @@ def hall_bound_check(
         return CheckReport("hall bound preconditions", False, {"failures": failures})
 
     pi = frozenset(prime_factors(Q.order))
-    R_elems = {
+    R_elems = set()
+    for n in N.element_tuples():
+        o = tuple_order(n)
         # the pi'-component: the part over the primes of |n| outside pi
-        prime_component(n, [q for q in prime_factors(tuple_order(n)) if q not in pi])
-        for n in N.element_tuples()
-    }
+        R_elems.add(prime_component(n, o, [q for q in prime_factors(o) if q not in pi]))
     R_group = G.subgroup([Permutation(t) for t in sorted(R_elems)])
     subgroup_ok = R_group.order == len(R_elems)
 

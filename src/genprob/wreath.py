@@ -350,6 +350,7 @@ def verify_lemma_mechanism(
     sampled_checks = sampled_passed = 0
     containment_checks = containment_passed = 0
     ident_idx_coord = top_elems[0]
+    p1 = projection(level, h, ident_idx_coord)
     for z in top_elems:
         if z in cyclic:
             # rho = m*z stays in socle*<g> for any base part m
@@ -364,17 +365,17 @@ def verify_lemma_mechanism(
             continue
         z_inv = z.inverse()
         witness_coord = level.top.index_of(ident_idx_coord * z_inv)  # x z^-1 with x = 1
+        # the conjugate's coordinate at 1 is the coordinate of h at z^-1,
+        # conjugated by the base entry there
+        h_at_z_inv = projection(level, h, ident_idx_coord * z_inv)
         for _ in range(samples):
             base = tuple(rng.choice(bottom_elems) for _ in range(level.base_length))
             rho = level.element(base, z)
             sampled_checks += 1
             h_rho = level.conjugate(h, rho)
-            p1 = projection(level, h, ident_idx_coord)
             p2 = projection(level, h_rho, ident_idx_coord)
-            # the conjugate's coordinate at 1 is the coordinate of h at z^-1,
-            # conjugated by the base entry there
             u = base[witness_coord]
-            expected = projection(level, h, ident_idx_coord * z_inv) ** u
+            expected = h_at_z_inv ** u
             generates = u.images in gen_report.generating
             if p1 == ALPHA and p2 == expected == BETA ** u and generates:
                 sampled_passed += 1

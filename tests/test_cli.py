@@ -182,6 +182,25 @@ class TestInputErrors:
         cache = tmp_path / "missing-dir" / "pairs.jsonl"
         assert "cannot write pair cache" in self.analyze_cache(runner, cache)
 
+    def refused_usage(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+        assert "Error: " in result.stderr
+        return result.stderr
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one(self, runner, samples):
+        # zero samples would report a pass that checked no conjugation
+        assert "--samples" in self.refused_usage(
+            runner, ["wreath", "verify", "--samples", samples])
+
+    def test_levels_below_one(self, runner):
+        assert "--levels" in self.refused_usage(
+            runner, ["tower", "dihedral", "--prime", "3", "--levels", "0",
+                     "--class", "nilpotent"])
+
 
 class TestWreathAndTower:
     def test_wreath_verify(self, runner):
@@ -256,3 +275,14 @@ class TestEnvOverrides:
         )
         assert result.exit_code == 0
         assert report["config"]["cap"] == 1000
+
+    @pytest.mark.parametrize("var, value", [
+        ("GENPROB_CAP", "abc"), ("GENPROB_PAIR_BUDGET", "1e3"),
+    ])
+    def test_bad_env_value_is_input_error(self, runner, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        result = runner.invoke(main, ["analyze", "--group", "S3", "--class", "soluble"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+        assert "Error: " in result.stderr

@@ -36,6 +36,24 @@ class TestBuild:
                 expected = v != w and pair_in_group(SOLUBLE, G, elems[v], elems[w])
                 assert g.adjacent(v, w) == expected
 
+    @pytest.mark.parametrize("name, klass", [
+        ("A5", SOLUBLE), ("A5", NILPOTENT), ("S4", NILPOTENT),
+    ])
+    def test_every_row_matches_pair_test(self, name, klass):
+        # rows of non-representatives are transported from their class
+        # representative's row by conjugation, so check those too
+        G = catalog_group(name)
+        g = build_graph(klass, G)
+        elems = G.element_tuples()
+        verts = sorted(g.vertices.members)
+        reps = set(G._conjugacy_data()[0])
+        assert any(v not in reps for v in verts)
+        for v in verts:
+            assert g.neighbors(v) == [
+                w for w in verts
+                if w != v and pair_in_group(klass, G, elems[v], elems[w])
+            ]
+
     def test_no_self_loops(self):
         g = build_graph(NILPOTENT, catalog_group("S4"))
         for v in g.vertices.members:

@@ -16,6 +16,8 @@ from genprob import (
     parse_group_spec,
 )
 from genprob.group import format_group_spec
+from genprob.perm import inv, mul
+from genprob.probability import soluble_radical
 
 from conftest import catalog_group, catalog_names
 
@@ -168,6 +170,26 @@ class TestQuotients:
         H = S4.subgroup([P("(1,2)", 4)])
         with pytest.raises(NotNormal):
             S4.quotient(H)
+
+    @pytest.mark.parametrize("name, normal", [
+        ("S4", lambda G: G.subgroup([P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4)])),
+        ("D12", lambda G: G.subgroup([P("(1,3,5)(2,4,6)", 6)])),
+        ("C3xA5", lambda G: G.subgroup(soluble_radical(G).perms())),
+        # chains of more than one level
+        ("S4", lambda G: G.subgroup([P("(1,2,3)", 4), P("(1,2)(3,4)", 4)])),
+        ("S5", lambda G: G.subgroup([P("(1,2,3)", 5), P("(1,2,3,4,5)", 5)])),
+    ], ids=["S4-V4", "D12-r2", "C3xA5-radical", "S4-A4", "S5-A5"])
+    def test_coset_key_matches_membership(self, name, normal):
+        # oracle: s and t lie in the same right coset of N iff s t^-1 is in N
+        G = catalog_group(name)
+        N = normal(G)
+        elems = G.element_tuples()
+        keys = [N.chain.coset_key(t) for t in elems]
+        assert len(set(keys)) == G.order // N.order > 1
+        for s, ks in zip(elems, keys):
+            assert N.chain.contains(mul(ks, inv(s)))
+            for t, kt in zip(elems, keys):
+                assert (ks == kt) == N.chain.contains(mul(s, inv(t)))
 
 
 class TestElementSet:
