@@ -19,17 +19,23 @@ constructing the subgroup where a cheap criterion exists:
 
 Every fast test is property-checked against the plain
 ``predicate(subgroup(x, y))`` route in the test suite.
+
+``pair_row`` computes a whole Omega(x) row.  Soluble rows take one pair test
+per orbit of x-translation, inversion and C_G(x)-conjugation, which leave
+<x, g> unchanged up to conjugation.  Abelian and nilpotent rows stay one test
+per element: a commute check is cheaper than building the orbits, and the
+nilpotent counts of the dihedral tower are pinned by the benchmark.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import NotInGroup, UnknownName
 from .group import FiniteGroup, bfs_closure, direct_product
-from .perm import Permutation, identity_tuple, mul, prime_component, tuple_order
+from .perm import Permutation, identity_tuple, inv, mul, prime_component, tuple_order
 from .util import pi_part, prime_factors
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "BUILTIN_CLASSES",
     "class_by_name",
     "test_pair",
+    "pair_row",
     "closure_audit",
     "ClosureAuditReport",
 ]
@@ -161,6 +168,67 @@ def pair_in_group(C: GroupClass, G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
         )
     cache[key] = result
     return result
+
+
+def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple,
+             candidates: Iterable[int] | None = None) -> frozenset[int]:
+    """The indices i among ``candidates`` (all of G by default) for which
+    <x, g_i> lies in the class, g_i the i-th element of the enumeration;
+    membership of x is assumed.
+
+    Soluble rows are computed one orbit at a time.  <x, g> is the same
+    subgroup for g, xg, gx and g^-1, and for c in C_G(x) the subgroup
+    <x, c^-1 g c> is conjugate to it, so the answer is constant on the
+    orbits of the group these maps generate.  One ``pair_in_group`` call on
+    each orbit's least index decides the whole orbit; orbits that miss the
+    candidates are never built.  Every other class takes one pair test per
+    candidate.
+    """
+    elems = G.element_tuples()
+    if candidates is None:
+        candidates = range(G.order)
+    if C.subgroup_closed and C.predicate(G):
+        return frozenset(candidates)
+    # abelian and nilpotent rows stay per element on purpose: a commute check
+    # costs less than building the orbits (abelian rows of S5 and A6 took
+    # 4-7 times longer with them), and the benchmark pins the nilpotent
+    # pair-test and product counts of `tower dihedral 3 6`
+    if C is not SOLUBLE:
+        return frozenset(i for i in candidates if pair_in_group(C, G, xt, elems[i]))
+    index = G._index
+    conjugators = [(inv(c), c) for c in _centralizer_generators(G, xt)]
+    seen = bytearray(G.order)
+    passing: list[int] = []
+    for start in candidates:
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        for i in orbit:
+            g = elems[i]
+            for h in (mul(xt, g), mul(g, xt), inv(g),
+                      *(mul(mul(ci, g), c) for ci, c in conjugators)):
+                j = index[h]
+                if not seen[j]:
+                    seen[j] = 1
+                    orbit.append(j)
+        if pair_in_group(C, G, xt, elems[min(orbit)]):
+            passing += orbit
+    return frozenset(passing).intersection(candidates)
+
+
+def _centralizer_generators(G: FiniteGroup, xt: tuple) -> list[tuple]:
+    """Elements that generate C_G(x) together with x, taken greedily in
+    enumeration order: an element of the centralizer joins when the span of
+    x and the earlier ones misses it.  Conjugation by x itself is left out,
+    since the two x-translations already give it."""
+    gens: list[tuple] = []
+    span = set(bfs_closure([xt], G.degree, G.order))
+    for t in G.element_tuples():
+        if t not in span and mul(t, xt) == mul(xt, t):
+            gens.append(t)
+            span = set(bfs_closure([xt, *gens], G.degree, G.order))
+    return gens
 
 
 def pair_by_predicate(C: GroupClass, G: FiniteGroup, x: Permutation, y: Permutation) -> bool:

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import operator
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,7 @@ import click
 
 from . import __version__
 from .catalog import list_entries, load
-from .classes import class_by_name
+from .classes import class_by_name, pair_by_predicate
 from .errors import GroupError
 from .graphs import build_graph, components_and_diameters
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
@@ -131,13 +132,21 @@ def _envelope(command: str, config: dict, seed: int | None = None) -> dict:
 
 
 CACHE_KEYS = ("group", "class", "pair", "result")
+# loaded records re-checked by the independent pair oracle, evenly spaced
+CACHE_RECHECKS = 8
 
 
 def _load_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
+    """Read the records of ``path`` for this group and class into the pair
+    cache.  One record can decide a whole orbit of a soluble Omega(x) row,
+    so every pair must lie in G, a pair may not appear twice with two
+    results, and up to ``CACHE_RECHECKS`` evenly spaced records are checked
+    against ``pair_by_predicate``."""
     if not path.exists():
         return
     cache = G.pair_cache.setdefault(class_name, {})
     points = list(range(G.degree))
+    loaded: list[tuple[int, tuple, bool]] = []
     try:
         with path.open() as f:
             for lineno, line in enumerate(f, start=1):
@@ -153,17 +162,32 @@ def _load_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
                         if sorted(xt) != points or sorted(yt) != points:
                             raise ValueError(
                                 f"pair is not two permutations of degree {G.degree}")
-                        cache[(xt, yt)] = result
+                        if not G.chain.contains(xt) or not G.chain.contains(yt):
+                            raise ValueError("pair is not in the group")
+                        # pair_in_group looks pairs up least first
+                        key = (xt, yt) if xt <= yt else (yt, xt)
+                        if cache.setdefault(key, result) != result:
+                            raise ValueError("pair appears earlier with the other result")
+                        loaded.append((lineno, key, result))
                 except (TypeError, ValueError) as exc:
                     _refuse(f"pair cache {path}, line {lineno}: {exc}")
     except (OSError, UnicodeDecodeError) as exc:
         _refuse(f"cannot read pair cache {path}: {exc}")
+    C = class_by_name(class_name)
+    count = min(CACHE_RECHECKS, len(loaded))
+    for lineno, (xt, yt), result in (loaded[k * len(loaded) // count] for k in range(count)):
+        if pair_by_predicate(C, G, Permutation(xt), Permutation(yt)) != result:
+            _refuse(f"pair cache {path}, line {lineno}: result {json.dumps(result)} "
+                    "disagrees with the pair test")
 
 
 def _save_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
+    """Write the pair cache through a temporary file in the same directory,
+    so a failed write leaves the old file as it was."""
     cache = G.pair_cache.get(class_name, {})
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with path.open("w") as f:
+        with tmp.open("w") as f:
             for (xt, yt), result in sorted(cache.items()):
                 f.write(json.dumps({
                     "group": G.cache_key,
@@ -171,8 +195,11 @@ def _save_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
                     "pair": [list(xt), list(yt)],
                     "result": result,
                 }, sort_keys=True) + "\n")
+        os.replace(tmp, path)
     except OSError as exc:
         _refuse(f"cannot write pair cache {path}: {exc}")
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @click.group(cls=_Main)

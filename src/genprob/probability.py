@@ -7,6 +7,13 @@ for whole-group probabilities above order 360 is class reduction
 (conjugation equivariance of the pair test lets one element of each
 conjugacy class stand in for the class); the exhaustive double loop is the
 independent oracle below that size.
+
+Omega(x) rows use the elementwise analogue: membership of g in a soluble
+Omega(x) is constant on the orbits of g -> xg, g -> gx, g -> g^-1 and
+g -> c^-1 g c (c in C_G(x)), so ``classes.pair_row`` runs one pair test per
+orbit.  The exhaustive double loop, ``omega_global(class_reduced=False)``
+and ``classes.pair_by_predicate`` stay one test per pair: they are the
+oracles the reduced routes are checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .classes import GroupClass, pair_in_group
+from .classes import GroupClass, pair_in_group, pair_row
 from .errors import EmptySet, NotInGroup
 from .group import ElementSet, FiniteGroup
 from .perm import Permutation, mul, prime_component, tuple_order
@@ -76,17 +83,15 @@ def _group_label(G: FiniteGroup) -> str:
 # ---------------------------------------------------------------------------
 
 def omega(C: GroupClass, G: FiniteGroup, x: Permutation) -> ElementSet:
-    """All g with <x, g> in the class."""
+    """All g with <x, g> in the class.
+
+    The row comes from ``classes.pair_row``: a soluble row takes one pair
+    test per orbit of x-translation, inversion and C_G(x)-conjugation, every
+    other class one pair test per element.
+    """
     if not G.contains(x):
         raise NotInGroup(f"{x} is not in {G!r}")
-    elems = G.element_tuples()
-    if C.subgroup_closed and C.predicate(G):
-        return ElementSet(G, frozenset(range(G.order)))
-    xt = x.images
-    members = frozenset(
-        i for i, t in enumerate(elems) if pair_in_group(C, G, xt, t)
-    )
-    return ElementSet(G, members)
+    return ElementSet(G, pair_row(C, G, x.images))
 
 
 def prob_elem(C: GroupClass, G: FiniteGroup, x: Permutation) -> ProbabilityReport:
@@ -165,9 +170,7 @@ def omega_global(C: GroupClass, G: FiniteGroup, class_reduced: bool = True) -> E
     order_of_work = sorted(range(len(reps)), key=lambda c: (-sizes[c], reps[c]))
     members: set[int] | None = None
     for cid in order_of_work:
-        rt = elems[reps[cid]]
-        candidates = range(G.order) if members is None else members
-        passing = {i for i in candidates if pair_in_group(C, G, rt, elems[i])}
+        passing = pair_row(C, G, elems[reps[cid]], members)
         # keep only classes entirely inside the passing set
         survivors_by_class: dict[int, int] = {}
         for i in passing:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprob import FiniteGroup, Permutation, UnknownName
+from genprob.catalog import load
 from genprob.classes import (
     ABELIAN,
     BUILTIN_CLASSES,
@@ -14,6 +15,7 @@ from genprob.classes import (
     closure_audit,
     pair_by_predicate,
     pair_in_group,
+    pair_row,
     test_pair as check_pair,
     _order_forces_soluble,
 )
@@ -110,6 +112,30 @@ def test_fast_pair_matches_reference(name, klass):
         assert pair_in_group(klass, G, x.images, y.images) == pair_by_predicate(
             klass, G, x, y
         ), (klass.name, str(x), str(y))
+
+
+@pytest.mark.parametrize("name", ["A5", "S5", "PSL27", "C3xA5", "S3xA5"])
+def test_orbit_row_matches_predicate_row(name):
+    """Each soluble row, built one orbit at a time, equals the per-element
+    row of the independent oracle; so does its restriction to candidates."""
+    G = load(name)  # a fresh pair cache, so every orbit runs its own test
+    elems = G.elements()
+    candidates = set(range(0, G.order, 3))
+    for rep, _ in G.conjugacy_classes():
+        expected = frozenset(
+            i for i, g in enumerate(elems) if pair_by_predicate(SOLUBLE, G, rep, g)
+        )
+        assert pair_row(SOLUBLE, G, rep.images) == expected, str(rep)
+        assert pair_row(SOLUBLE, G, rep.images, candidates) == expected & candidates
+
+
+def test_orbit_rows_test_few_pairs():
+    # rows tested element by element leave 7 865 distinct pairs here; one
+    # test per orbit leaves 217
+    G = load("S6")
+    for rep, _ in G.conjugacy_classes():
+        pair_row(SOLUBLE, G, rep.images)
+    assert len(G.pair_cache["soluble"]) < 1000
 
 
 @settings(deadline=None, max_examples=60)

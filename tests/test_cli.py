@@ -117,6 +117,99 @@ class TestGraph:
         assert not dot.exists()
 
 
+class TestPairCacheFile:
+    """The ``--cache`` file: keys as the pair test reads them, checked
+    records, and a write that cannot leave a half-written file."""
+
+    ARGS = ["analyze", "--group", "A5", "--class", "soluble", "--cache"]
+
+    def records(self, cache):
+        return [json.loads(line) for line in cache.read_text().splitlines()]
+
+    def write(self, cache, records):
+        cache.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+    def cold(self, runner, tmp_path):
+        cache = tmp_path / "pairs.jsonl"
+        assert runner.invoke(main, self.ARGS + [str(cache)]).exit_code == 0
+        return cache
+
+    def refused(self, runner, cache):
+        result = runner.invoke(main, self.ARGS + [str(cache)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: ")
+        return result.stderr
+
+    def test_reversed_pair_is_read(self, runner, tmp_path):
+        cache = self.cold(runner, tmp_path)
+        record = next(r for r in reversed(self.records(cache)) if r["pair"][0] != r["pair"][1])
+        pair = sorted(record["pair"])
+        self.write(cache, [dict(record, pair=pair[::-1])])
+        assert runner.invoke(main, self.ARGS + [str(cache)]).exit_code == 0
+        stored = [sorted(r["pair"]) for r in self.records(cache)]
+        assert stored.count(pair) == 1
+
+    def test_flipped_result(self, runner, tmp_path):
+        cache = self.cold(runner, tmp_path)
+        records = self.records(cache)
+        records[0]["result"] = not records[0]["result"]
+        self.write(cache, records)
+        assert "line 1: result" in self.refused(runner, cache)
+
+    def test_two_results_for_one_pair(self, runner, tmp_path):
+        cache = self.cold(runner, tmp_path)
+        record = self.records(cache)[-1]
+        flipped = dict(record, pair=record["pair"][::-1], result=not record["result"])
+        self.write(cache, [record, flipped])
+        assert "line 2" in self.refused(runner, cache)
+
+    def test_pair_outside_the_group(self, runner, tmp_path):
+        cache = tmp_path / "pairs.jsonl"
+        self.write(cache, [{"group": load("A5").cache_key, "class": "soluble",
+                            "pair": [[1, 0, 2, 3, 4], [1, 2, 0, 3, 4]], "result": True}])
+        assert "not in the group" in self.refused(runner, cache)
+
+    def test_failed_write_keeps_the_old_file(self, runner, tmp_path, monkeypatch):
+        cache = self.cold(runner, tmp_path)
+        self.write(cache, self.records(cache)[:3])
+        before = cache.read_bytes()
+        calls = []
+        dumps = json.dumps
+
+        def failing_dumps(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 1:
+                raise OSError("No space left on device")
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        assert "cannot write pair cache" in self.refused(runner, cache)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert cache.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [cache.name]
+
+    def test_full_row_file_gives_the_same_report(self, runner, tmp_path):
+        # the cache a per-element Omega(x) loop leaves: every (rep, g) pair
+        from genprob.classes import SOLUBLE, pair_in_group
+        from genprob.cli import _save_pair_cache
+
+        G = load("A5")
+        for rep, _ in G.conjugacy_classes():
+            for g in G.element_tuples():
+                pair_in_group(SOLUBLE, G, rep.images, g)
+        cache = tmp_path / "pairs.jsonl"
+        _save_pair_cache(G, "soluble", cache)
+        full_rows = cache.read_text().splitlines()
+        plain = runner.invoke(main, self.ARGS[:-1])
+        warm = runner.invoke(main, self.ARGS + [str(cache)])
+        assert plain.exit_code == warm.exit_code == 0
+        assert warm.stdout == plain.stdout
+        assert set(full_rows) <= set(cache.read_text().splitlines())
+
+
 class TestInputErrors:
     """Bad input exits 2 with one line on stderr; exit 1 means a failed check."""
 
