@@ -61,9 +61,6 @@ class GroupClass:
 
     name: str
     predicate: Callable[[FiniteGroup], bool]
-    # closure under subgroups lets omega() short-circuit when the whole
-    # ambient group lies in the class
-    subgroup_closed: bool = False
     fast_pair: Callable[[FiniteGroup, tuple, tuple], bool] | None = field(
         default=None, compare=False
     )
@@ -123,9 +120,9 @@ def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     return sub.is_soluble
 
 
-ABELIAN = GroupClass("abelian", lambda G: G.is_abelian, True, _abelian_pair)
-NILPOTENT = GroupClass("nilpotent", lambda G: G.is_nilpotent, True, _nilpotent_pair)
-SOLUBLE = GroupClass("soluble", lambda G: G.is_soluble, True, _soluble_pair)
+ABELIAN = GroupClass("abelian", lambda G: G.is_abelian, _abelian_pair)
+NILPOTENT = GroupClass("nilpotent", lambda G: G.is_nilpotent, _nilpotent_pair)
+SOLUBLE = GroupClass("soluble", lambda G: G.is_soluble, _soluble_pair)
 
 BUILTIN_CLASSES = {c.name: c for c in (ABELIAN, NILPOTENT, SOLUBLE)}
 
@@ -150,13 +147,18 @@ def test_pair(C: GroupClass, G: FiniteGroup, x: Permutation, y: Permutation) -> 
     return pair_in_group(C, G, x.images, y.images)
 
 
+def pair_key(xt: tuple, yt: tuple) -> tuple[tuple, tuple]:
+    """The pair cache key: least first, since <x, y> = <y, x>."""
+    return (xt, yt) if xt <= yt else (yt, xt)
+
+
 def pair_in_group(C: GroupClass, G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     """Internal test_pair over image tuples; membership is assumed."""
     # a subgroup-closed class containing G contains every <x, y>
-    if C.subgroup_closed and C.predicate(G):
+    if C.predicate(G):
         return True
     cache = G.pair_cache.setdefault(C.name, {})
-    key = (xt, yt) if xt <= yt else (yt, xt)
+    key = pair_key(xt, yt)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -187,7 +189,7 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple,
     elems = G.element_tuples()
     if candidates is None:
         candidates = range(G.order)
-    if C.subgroup_closed and C.predicate(G):
+    if C.predicate(G):
         return frozenset(candidates)
     # abelian and nilpotent rows stay per element on purpose: a commute check
     # costs less than building the orbits (abelian rows of S5 and A6 took

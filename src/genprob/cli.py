@@ -8,8 +8,8 @@ deterministic: the same config and seed produce byte-identical JSON.  The
 of the config echo.
 
 Exit status is 0 when every check asserted during the run holds, 1 when an
-identity, diameter bound or monotonicity check fails, and 2 on bad input or
-a refused run, which prints one ``Error:`` line on stderr.
+identity, diameter bound or monotonicity check fails, and 2 on bad input, a
+refused run or an unwritable file, which prints one ``Error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import click
 
 from . import __version__
 from .catalog import list_entries, load
-from .classes import class_by_name, pair_by_predicate
+from .classes import class_by_name, pair_by_predicate, pair_key
 from .errors import GroupError
 from .graphs import build_graph, components_and_diameters
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
@@ -164,8 +164,7 @@ def _load_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
                                 f"pair is not two permutations of degree {G.degree}")
                         if not G.chain.contains(xt) or not G.chain.contains(yt):
                             raise ValueError("pair is not in the group")
-                        # pair_in_group looks pairs up least first
-                        key = (xt, yt) if xt <= yt else (yt, xt)
+                        key = pair_key(xt, yt)
                         if cache.setdefault(key, result) != result:
                             raise ValueError("pair appears earlier with the other result")
                         loaded.append((lineno, key, result))
@@ -309,7 +308,10 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int,
                 f"DOT dump limited to {DOT_VERTEX_LIMIT} vertices "
                 f"(graph has {len(g.vertices)})"
             )
-        dot_path.write_text(g.to_dot() + "\n")
+        try:
+            dot_path.write_text(g.to_dot() + "\n")
+        except OSError as exc:
+            _refuse(f"cannot write DOT file {dot_path}: {exc}")
 
     _emit(report, fmt)
     if not passed:

@@ -70,14 +70,12 @@ def build_graph(C: GroupClass, G: FiniteGroup) -> ClassGraph:
     vertex_set = frozenset(range(G.order)) - core.members
     elems = G.element_tuples()
     reps, _, class_of, transporter = G._conjugacy_data()
-    rows: dict[int, ElementSet] = {}
+    rows = {cid: omega(C, G, Permutation(elems[reps[cid]]))
+            for cid in sorted({class_of[v] for v in vertex_set})}
     adjacency: dict[int, list[int]] = {}
     for v in vertex_set:
         cid = class_of[v]
-        rep = reps[cid]
-        if cid not in rows:
-            rows[cid] = omega(C, G, Permutation(elems[rep]))
-        row = rows[cid] if v == rep else rows[cid].conjugate(Permutation(transporter[v]))
+        row = rows[cid] if v == reps[cid] else rows[cid].conjugate(Permutation(transporter[v]))
         adjacency[v] = sorted((row.members & vertex_set) - {v})
     return ClassGraph(G, C.name, ElementSet(G, vertex_set), adjacency)
 

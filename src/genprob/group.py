@@ -180,9 +180,9 @@ class StabilizerChain:
 class FiniteGroup:
     """A finite permutation group given by generators.
 
-    Immutable after construction; queries are read-only and may be issued
-    concurrently.  ``elements()`` materializes the full element list and is
-    gated by ``cap``.
+    Generators, chain and order are fixed; the element list, class data,
+    pair cache and Omega(x) row store fill in lazily, so do not share a
+    group between threads.  ``elements()`` lists every element, gated by ``cap``.
     """
 
     def __init__(
@@ -215,8 +215,9 @@ class FiniteGroup:
         self.order: int = chain.order()
         self._elements: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
-        # shared cache used by the class / probability machinery
+        # shared caches used by the class / probability machinery
         self.pair_cache: dict[str, dict[tuple, bool]] = {}
+        self.row_cache: dict[tuple[str, tuple[int, ...]], ElementSet] = {}
         self._class_data: tuple | None = None
 
     # -- identity / keys ----------------------------------------------------

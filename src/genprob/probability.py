@@ -11,9 +11,13 @@ independent oracle below that size.
 Omega(x) rows use the elementwise analogue: membership of g in a soluble
 Omega(x) is constant on the orbits of g -> xg, g -> gx, g -> g^-1 and
 g -> c^-1 g c (c in C_G(x)), so ``classes.pair_row`` runs one pair test per
-orbit.  The exhaustive double loop, ``omega_global(class_reduced=False)``
-and ``classes.pair_by_predicate`` stay one test per pair: they are the
-oracles the reduced routes are checked against.
+orbit.  ``omega`` keeps each row in ``G.row_cache``, the row store keyed by
+class name and the image tuple of x, so a row is computed once per group.
+Since <x, g> = <g, x>, g lies in Omega(G) iff Omega(g) = G: Omega(G) is the
+union of the classes whose representative pairs with every element.  The
+exhaustive double loop, ``omega_global(class_reduced=False)`` and
+``classes.pair_by_predicate`` stay one test per pair: they are the oracles
+the reduced routes are checked against.
 """
 
 from __future__ import annotations
@@ -87,11 +91,14 @@ def omega(C: GroupClass, G: FiniteGroup, x: Permutation) -> ElementSet:
 
     The row comes from ``classes.pair_row``: a soluble row takes one pair
     test per orbit of x-translation, inversion and C_G(x)-conjugation, every
-    other class one pair test per element.
+    other class one pair test per element; the row is kept in G.row_cache.
     """
-    if not G.contains(x):
-        raise NotInGroup(f"{x} is not in {G!r}")
-    return ElementSet(G, pair_row(C, G, x.images))
+    key = (C.name, x.images)
+    if key not in G.row_cache:
+        if not G.contains(x):
+            raise NotInGroup(f"{x} is not in {G!r}")
+        G.row_cache[key] = ElementSet(G, pair_row(C, G, x.images))
+    return G.row_cache[key]
 
 
 def prob_elem(C: GroupClass, G: FiniteGroup, x: Permutation) -> ProbabilityReport:
@@ -151,12 +158,13 @@ def prob_group(C: GroupClass, G: FiniteGroup, method: str = "auto") -> Probabili
 def omega_global(C: GroupClass, G: FiniteGroup, class_reduced: bool = True) -> ElementSet:
     """Intersection of omega(C, G, x) over all x in G.
 
-    Class-reduced route: for each class representative r, the intersection of
-    the conjugates of omega(r) is the union of the conjugacy classes fully
-    contained in omega(r); intersecting those over representatives equals the
-    full intersection, by conjugation equivariance.
+    Class-reduced route: <x, r> = <r, x>, so r lies in every omega(x) iff
+    omega(r) = G, and so do its conjugates.  Each representative is tested
+    against the elements in enumeration order up to the first failure; the
+    identity, not assumed to pass, against one element per class, since
+    <1, y> = <y> and conjugate elements generate conjugate subgroups.
     """
-    if C.subgroup_closed and C.predicate(G):
+    if C.predicate(G):
         return ElementSet(G, frozenset(range(G.order)))
     elems = G.element_tuples()
     if not class_reduced:
@@ -165,23 +173,11 @@ def omega_global(C: GroupClass, G: FiniteGroup, class_reduced: bool = True) -> E
             members = {i for i in members if pair_in_group(C, G, xt, elems[i])}
         return ElementSet(G, frozenset(members))
 
-    reps, sizes, class_of, _ = G._conjugacy_data()
-    # large classes first: the running intersection shrinks fastest that way
-    order_of_work = sorted(range(len(reps)), key=lambda c: (-sizes[c], reps[c]))
-    members: set[int] | None = None
-    for cid in order_of_work:
-        passing = pair_row(C, G, elems[reps[cid]], members)
-        # keep only classes entirely inside the passing set
-        survivors_by_class: dict[int, int] = {}
-        for i in passing:
-            survivors_by_class[class_of[i]] = survivors_by_class.get(class_of[i], 0) + 1
-        members = {
-            i for i in passing if survivors_by_class[class_of[i]] == sizes[class_of[i]]
-        }
-        if members == {0}:
-            break
-    assert members is not None
-    return ElementSet(G, frozenset(members))
+    reps, _, class_of, _ = G._conjugacy_data()
+    kept = [all(pair_in_group(C, G, elems[r], elems[y])
+                for y in (reps if r == 0 else range(G.order)))  # 0: the identity
+            for r in reps]
+    return ElementSet(G, frozenset(i for i in range(G.order) if kept[class_of[i]]))
 
 
 def soluble_radical(G: FiniteGroup) -> ElementSet:

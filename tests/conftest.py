@@ -24,3 +24,20 @@ def catalog_names(max_order=None):
 @pytest.fixture(scope="session")
 def group_of():
     return catalog_group
+
+
+@pytest.fixture
+def pair_row_calls(monkeypatch):
+    """The image tuple of x for every Omega(x) row that
+    ``probability.omega`` computes while the test runs."""
+    import genprob.probability as probability
+
+    calls = []
+    pair_row = probability.pair_row
+
+    def counted(C, G, xt, candidates=None):
+        calls.append(xt)
+        return pair_row(C, G, xt, candidates)
+
+    monkeypatch.setattr(probability, "pair_row", counted)
+    return calls

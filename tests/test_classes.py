@@ -15,6 +15,7 @@ from genprob.classes import (
     closure_audit,
     pair_by_predicate,
     pair_in_group,
+    pair_key,
     pair_row,
     test_pair as check_pair,
     _order_forces_soluble,
@@ -94,6 +95,10 @@ class TestPairTest:
         first = pair_in_group(ABELIAN, G, x.images, y.images)
         assert pair_in_group(ABELIAN, G, y.images, x.images) == first
         assert (min(x.images, y.images), max(x.images, y.images)) in G.pair_cache["abelian"]
+
+    def test_pair_key_is_least_first(self):
+        x, y = (1, 0, 2), (0, 2, 1)
+        assert pair_key(x, y) == pair_key(y, x) == (y, x)
 
 
 def random_pairs(name, seed, count):

@@ -81,6 +81,22 @@ class TestAnalyze:
         assert result.output.splitlines()[0] == "key,value"
 
 
+class TestRowStore:
+    def test_analyze_computes_each_row_once(self, runner, pair_row_calls):
+        # per-representative probabilities, the class-reduced prob_group and
+        # omega_global used to ask for each row twice: 26 pair_row calls
+        result = runner.invoke(main, ["analyze", "--group", "S6", "--class", "soluble"])
+        assert result.exit_code == 0
+        calls = pair_row_calls
+        assert len(calls) == len(set(calls)) == len(load("S6").conjugacy_classes()) == 11
+
+    def test_graph_computes_one_row_per_vertex_class(self, runner, pair_row_calls):
+        result = runner.invoke(main, ["graph", "--group", "A5", "--class", "soluble"])
+        assert result.exit_code == 0
+        # every non-identity class of A5 holds vertices
+        assert len(pair_row_calls) == len(set(pair_row_calls)) == 4
+
+
 class TestGraph:
     def test_a5_soluble(self, runner):
         result, report = run_json(runner, ["graph", "--group", "A5", "--class", "soluble"])
@@ -191,6 +207,14 @@ class TestPairCacheFile:
         assert cache.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [cache.name]
 
+    def test_cold_s6_file_is_small(self, runner, tmp_path):
+        # one record per orbit and one per identity-class test: 218 records;
+        # the identity tested against every element would leave 927
+        cache = tmp_path / "pairs.jsonl"
+        args = ["analyze", "--group", "S6", "--class", "soluble", "--cache", str(cache)]
+        assert runner.invoke(main, args).exit_code == 0
+        assert len(self.records(cache)) < 300
+
     def test_full_row_file_gives_the_same_report(self, runner, tmp_path):
         # the cache a per-element Omega(x) loop leaves: every (rep, g) pair
         from genprob.classes import SOLUBLE, pair_in_group
@@ -213,14 +237,17 @@ class TestPairCacheFile:
 class TestInputErrors:
     """Bad input exits 2 with one line on stderr; exit 1 means a failed check."""
 
-    def analyze(self, runner, group):
-        result = runner.invoke(main, ["analyze", "--group", group, "--class", "abelian"])
+    def refused(self, runner, args):
+        result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "Traceback" not in result.output
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("Error: ")
         return result.stderr
+
+    def analyze(self, runner, group):
+        return self.refused(runner, ["analyze", "--group", group, "--class", "abelian"])
 
     def test_unknown_group_name(self, runner):
         assert "nosuch" in self.analyze(runner, "nosuch")
@@ -234,15 +261,8 @@ class TestInputErrors:
         assert "line 2" in self.analyze(runner, str(spec))
 
     def analyze_cache(self, runner, cache):
-        result = runner.invoke(
-            main, ["analyze", "--group", "S3", "--class", "soluble", "--cache", str(cache)]
-        )
-        assert result.exit_code == 2
-        assert "Traceback" not in result.output
-        assert result.stdout == ""
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("Error: ")
-        return result.stderr
+        return self.refused(
+            runner, ["analyze", "--group", "S3", "--class", "soluble", "--cache", str(cache)])
 
     def test_malformed_cache_line(self, runner, tmp_path):
         cache = tmp_path / "pairs.jsonl"
@@ -274,6 +294,17 @@ class TestInputErrors:
     def test_unwritable_cache(self, runner, tmp_path):
         cache = tmp_path / "missing-dir" / "pairs.jsonl"
         assert "cannot write pair cache" in self.analyze_cache(runner, cache)
+
+    def graph_dot(self, runner, dot):
+        return self.refused(
+            runner, ["graph", "--group", "A5", "--class", "soluble", "--dot", str(dot)])
+
+    def test_directory_as_dot(self, runner, tmp_path):
+        assert "cannot write DOT file" in self.graph_dot(runner, tmp_path)
+
+    def test_dot_in_missing_directory(self, runner, tmp_path):
+        dot = tmp_path / "missing-dir" / "g.dot"
+        assert "cannot write DOT file" in self.graph_dot(runner, dot)
 
     def refused_usage(self, runner, args):
         result = runner.invoke(main, args)

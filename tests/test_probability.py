@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from genprob import ElementSet, EmptySet, Permutation
-from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE
+from genprob.catalog import load
+from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE, GroupClass
+from genprob.errors import NotInGroup
 from genprob.probability import (
     averaging_identity_check,
     center,
@@ -40,6 +42,16 @@ class TestOmega:
     def test_whole_group_shortcut(self):
         C12 = catalog_group("C12")
         assert len(omega(SOLUBLE, C12, C12.element_at(5))) == 12
+
+    def test_rows_are_computed_once(self, pair_row_calls):
+        G = load("A5")
+        x = G.element_at(7)
+        row = omega(SOLUBLE, G, x)
+        assert omega(SOLUBLE, G, Permutation(x.images)) is row
+        assert omega(NILPOTENT, G, x) is not row
+        assert pair_row_calls == [x.images, x.images]
+        with pytest.raises(NotInGroup):
+            omega(SOLUBLE, G, P("(1,2)", 5))
 
     def test_prob_elem_identity_element(self):
         # the identity pairs into the class with exactly the class-members'
@@ -93,6 +105,18 @@ class TestGlobalOmega:
                     omega_global(klass, G).members
                     == omega_global(klass, G, class_reduced=False).members
                 )
+
+    # closed under subgroups, quotients and direct products, without C3
+    TWO_GROUPS = GroupClass("2-group", lambda G: G.order & (G.order - 1) == 0)
+
+    @pytest.mark.parametrize("name", ["S3", "D12", "S4", "Klein"])
+    def test_identity_is_not_assumed_in_the_core(self, name):
+        # on S3, <1, (1,2,3)> is C3, so the core is empty
+        G = catalog_group(name)
+        assert (
+            omega_global(self.TWO_GROUPS, G).members
+            == omega_global(self.TWO_GROUPS, G, class_reduced=False).members
+        )
 
     def test_simple_groups_have_trivial_soluble_core(self):
         for name in ("A5", "PSL27", "A6"):
