@@ -12,10 +12,14 @@ constructing the subgroup where a cheap criterion exists:
   nilpotent group iff parts for distinct primes commute and each same-prime
   pair generates a p-group (checked by closure with the Sylow order of the
   ambient group as a hard size bound).
-* soluble: commuting generators give an abelian group.  Otherwise the
-  pair subgroup gets a stabilizer chain; its order settles the question
-  when it is below 60, odd, or has at most two prime divisors, and its
-  derived series settles the rest.
+* soluble: commuting generators give an abelian group.  Otherwise the pair
+  is split into its restrictions to the orbits of <x, y>, and it is soluble
+  iff every restriction is.  Orbits of at most four points are skipped.
+  Each other restriction is relabelled onto 0..k-1 and looked up by that
+  key in the group's ``restriction_cache``; on a miss the relabelled pair
+  gets a stabilizer chain of degree k, its order settles the question when
+  it is below 60, odd, or has at most two prime divisors, and its derived
+  series settles the rest.
 
 Every fast test is property-checked against the plain
 ``predicate(subgroup(x, y))`` route in the test suite.
@@ -107,17 +111,95 @@ def _order_forces_soluble(n: int) -> bool:
     return n < _SMALLEST_INSOLUBLE or n % 2 == 1 or len(prime_factors(n)) <= 2
 
 
+# an orbit of at most this many points restricts into Sym(4), which is soluble
+_SOLUBLE_ORBIT_MAX = 4
+# orbits up to this length get the least relabelling over all start points;
+# longer ones are relabelled from their least point only, which keeps the key
+# exact and costs O(k) instead of O(k^2), at a lower cache hit rate
+_CANONICAL_ORBIT_MAX = 64
+
+
+def _relabel(xt: tuple, yt: tuple, start: int,
+             bound: tuple | None = None) -> tuple[tuple[tuple, tuple], list[int]] | None:
+    """The restriction of x and y to the orbit of ``start`` under <x, y>,
+    with the points numbered in the order a breadth-first search from
+    ``start`` finds them, applying x then y to each; and the orbit points
+    in label order, so label i stands for point ``points[i]``.  x' is built
+    in label order, so the search stops, returning None, as soon as x' is
+    known to exceed ``bound``."""
+    label = {start: 0}
+    points = [start]
+    xr: list[int] = []
+    for p in points:
+        q, r = xt[p], yt[p]
+        if q not in label:
+            label[q] = len(points)
+            points.append(q)
+        if r not in label:
+            label[r] = len(points)
+            points.append(r)
+        v = label[q]
+        if bound is not None and v != bound[len(xr)]:
+            if v > bound[len(xr)]:
+                return None
+            bound = None
+        xr.append(v)
+    return (tuple(xr), tuple([label[yt[p]] for p in points])), points
+
+
+def restriction_key(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tuple], list[int]]:
+    """The cache key of the restriction of x and y to the orbit of
+    ``start``, with its points in label order: the least ``_relabel`` over
+    the orbit's start points, or the one from ``start`` for orbits longer
+    than ``_CANONICAL_ORBIT_MAX``.  Equal keys mean the same pair of
+    permutations up to renaming points."""
+    best = _relabel(xt, yt, start)
+    orbit = best[1]
+    if len(orbit) <= _CANONICAL_ORBIT_MAX:
+        for s in orbit[1:]:
+            other = _relabel(xt, yt, s, best[0][0])
+            if other is not None and other[0] < best[0]:
+                best = other
+    return best
+
+
+def _soluble_restriction(G: FiniteGroup, xr: tuple, yr: tuple) -> bool:
+    """Whether the relabelled orbit restriction <x', y'> is soluble."""
+    # the chain gives the order without listing elements; the derived
+    # series runs only when the order leaves the answer open
+    sub = FiniteGroup(len(xr), [Permutation(xr), Permutation(yr)], cap=G.cap)
+    if _order_forces_soluble(sub.order):
+        return True
+    # on a single orbit of all the points <x', y'> is conjugate to <x, y>
+    if len(xr) == G.degree and sub.order == G.order:
+        return G.is_soluble
+    return sub.is_soluble
+
+
 def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     if mul(xt, yt) == mul(yt, xt):
         return True
-    # the chain gives the order without listing elements; the derived
-    # series runs only when the order leaves the answer open
-    sub = FiniteGroup(G.degree, [Permutation(xt), Permutation(yt)], cap=G.cap)
-    if _order_forces_soluble(sub.order):
-        return True
-    if sub.order == G.order:
-        return G.is_soluble
-    return sub.is_soluble
+    # <x, y> embeds in the direct product of its restrictions to its orbits,
+    # and maps onto each of them; the class is closed under subgroups,
+    # quotients and direct products, so <x, y> is soluble iff every orbit
+    # restriction is (Dixon-Mortimer 1.6).  Relabelling points keeps
+    # solubility, so each restriction is decided once per group and key.
+    seen = bytearray(G.degree)
+    for start in range(G.degree):
+        if seen[start]:
+            continue
+        _, points = _relabel(xt, yt, start)
+        for p in points:
+            seen[p] = 1
+        if len(points) <= _SOLUBLE_ORBIT_MAX:
+            continue
+        key, _ = restriction_key(xt, yt, start)
+        result = G.restriction_cache.get(key)
+        if result is None:
+            result = G.restriction_cache[key] = _soluble_restriction(G, *key)
+        if not result:
+            return False
+    return True
 
 
 ABELIAN = GroupClass("abelian", lambda G: G.is_abelian, _abelian_pair)

@@ -132,16 +132,20 @@ def _envelope(command: str, config: dict, seed: int | None = None) -> dict:
 
 
 CACHE_KEYS = ("group", "class", "pair", "result")
+# written in every record with the genprob version; records without it are
+# read as this format, as the files of earlier versions have none
+CACHE_FORMAT = 1
 # loaded records re-checked by the independent pair oracle, evenly spaced
 CACHE_RECHECKS = 8
 
 
 def _load_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
     """Read the records of ``path`` for this group and class into the pair
-    cache.  One record can decide a whole orbit of a soluble Omega(x) row,
-    so every pair must lie in G, a pair may not appear twice with two
-    results, and up to ``CACHE_RECHECKS`` evenly spaced records are checked
-    against ``pair_by_predicate``."""
+    cache.  A record's ``format``, where it has one, must be
+    ``CACHE_FORMAT``.  One record can decide a whole orbit of a soluble
+    Omega(x) row, so every pair must lie in G, a pair may not appear twice
+    with two results, and up to ``CACHE_RECHECKS`` evenly spaced records are
+    checked against ``pair_by_predicate``."""
     if not path.exists():
         return
     cache = G.pair_cache.setdefault(class_name, {})
@@ -154,6 +158,9 @@ def _load_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
                     record = json.loads(line)
                     if not isinstance(record, dict) or not set(CACHE_KEYS) <= record.keys():
                         raise ValueError(f"a record needs the keys {', '.join(CACHE_KEYS)}")
+                    fmt = record.get("format", CACHE_FORMAT)
+                    if type(fmt) is not int or fmt != CACHE_FORMAT:
+                        raise ValueError(f"format {json.dumps(fmt)} is not {CACHE_FORMAT}")
                     group, cls, pair, result = (record[k] for k in CACHE_KEYS)
                     if not isinstance(result, bool):
                         raise ValueError("result is not true or false")
@@ -191,8 +198,10 @@ def _save_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
                 f.write(json.dumps({
                     "group": G.cache_key,
                     "class": class_name,
+                    "format": CACHE_FORMAT,
                     "pair": [list(xt), list(yt)],
                     "result": result,
+                    "version": __version__,
                 }, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except OSError as exc:

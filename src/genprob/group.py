@@ -181,8 +181,9 @@ class FiniteGroup:
     """A finite permutation group given by generators.
 
     Generators, chain and order are fixed; the element list, class data,
-    pair cache and Omega(x) row store fill in lazily, so do not share a
-    group between threads.  ``elements()`` lists every element, gated by ``cap``.
+    pair cache, soluble restriction cache and Omega(x) row store fill in
+    lazily, so do not share a group between threads.  ``elements()`` lists
+    every element, gated by ``cap``.
     """
 
     def __init__(
@@ -218,6 +219,8 @@ class FiniteGroup:
         # shared caches used by the class / probability machinery
         self.pair_cache: dict[str, dict[tuple, bool]] = {}
         self.row_cache: dict[tuple[str, tuple[int, ...]], ElementSet] = {}
+        # soluble pair test: relabelled orbit restriction -> soluble
+        self.restriction_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         self._class_data: tuple | None = None
 
     # -- identity / keys ----------------------------------------------------

@@ -41,3 +41,19 @@ def pair_row_calls(monkeypatch):
 
     monkeypatch.setattr(probability, "pair_row", counted)
     return calls
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """The degree of every stabilizer chain built while the test runs."""
+    from genprob.group import StabilizerChain
+
+    calls = []
+    init = StabilizerChain.__init__
+
+    def counted(self, degree, gens):
+        calls.append(degree)
+        init(self, degree, gens)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counted)
+    return calls

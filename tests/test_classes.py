@@ -17,10 +17,12 @@ from genprob.classes import (
     pair_in_group,
     pair_key,
     pair_row,
+    restriction_key,
     test_pair as check_pair,
     _order_forces_soluble,
 )
 from genprob.errors import NotInGroup
+from genprob.perm import inv, mul
 
 from conftest import catalog_group
 
@@ -141,6 +143,113 @@ def test_orbit_rows_test_few_pairs():
     for rep, _ in G.conjugacy_classes():
         pair_row(SOLUBLE, G, rep.images)
     assert len(G.pair_cache["soluble"]) < 1000
+
+
+def soluble_pair_agrees(G, x, y):
+    """The soluble pair test, without the pair cache, against the oracle."""
+    return SOLUBLE.fast_pair(G, x.images, y.images) == pair_by_predicate(SOLUBLE, G, x, y)
+
+
+class TestOrbitSplitOracle:
+    """The soluble pair test decides each orbit restriction of <x, y> once
+    per relabelled key; the oracle builds <x, y> itself.  Each group is
+    loaded fresh, so its restriction cache fills while the test runs and
+    later pairs are decided by cache hits."""
+
+    @pytest.mark.parametrize("name", ["S5", "C3xA5"])
+    def test_every_pair(self, name):
+        G = load(name)
+        elems = G.elements()
+        for i, x in enumerate(elems):
+            for y in elems[i:]:
+                assert soluble_pair_agrees(G, x, y), (str(x), str(y))
+
+    @pytest.mark.parametrize("name", ["A6", "PSL27", "S3xA5"])
+    def test_seeded_pairs(self, name):
+        G = load(name)
+        rng = random.Random(sum(name.encode()))
+        elems = G.elements()
+        for _ in range(300):
+            x, y = rng.choice(elems), rng.choice(elems)
+            assert soluble_pair_agrees(G, x, y), (str(x), str(y))
+
+    # generators of S5 x S5 on 10 points
+    S5xS5 = ("(1,2)", "(1,2,3,4,5)", "(6,7)", "(6,7,8,9,10)")
+
+    @pytest.mark.parametrize("group, x, y, expected", [
+        # C2 on {1,2}, A5 on {3..7}: only the long orbit is insoluble
+        ("S7", "(1,2)(3,4,5)", "(3,4,5,6,7)", False),
+        ("S7", "(1,2)(3,4)", "(3,4,5,6,7)", False),            # C2 and S5
+        ("S7", "(1,2)(3,4,5,6,7)", "(1,2)(4,7)(5,6)", True),   # C2 and D10
+        ("S7", "(1,2,3)(4,5,6,7)", "(1,2)(4,5)", True),        # orbits of 3 and 4
+        ("S7", "(1,2,3)", "(2,3,4)(5,6,7)", True),             # A4 and C3
+        ("S3xA5", "(1,2)(4,5,6)", "(1,2,3)(4,5,6,7,8)", False),  # S3 and A5
+        ("S3xA5", "(1,2)(4,5,6,7,8)", "(1,2,3)(5,8)(6,7)", True),  # S3 and D10
+        ("S3xA5", "(1,2)(4,5,6)", "(4,5,6,7,8)", False),       # C2 and A5
+        # two orbits of five points
+        (S5xS5, "(1,2,3)(6,7,8)", "(1,2,3,4,5)(6,7,8,9,10)", False),  # A5 twice, one key
+        (S5xS5, "(1,2,3,4,5)(6,7,8,9,10)", "(2,5)(3,4)(7,10)(8,9)", True),  # D10 twice
+        (S5xS5, "(1,2,3,4,5)(6,7)", "(2,5)(3,4)(6,7,8,9,10)", False),  # D10 and S5
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_mixed_orbits(self, group, x, y, expected):
+        if isinstance(group, str):
+            G = load(group)
+        else:
+            G = FiniteGroup(10, [P(c, 10) for c in group])
+        x, y = P(x, G.degree), P(y, G.degree)
+        assert SOLUBLE.fast_pair(G, x.images, y.images) is expected
+        assert pair_by_predicate(SOLUBLE, G, x, y) is expected
+
+
+class TestRestrictionKey:
+    def assert_decodes(self, xt, yt, start, key, points):
+        """Label i stands for points[i]: the key is the restriction of x and
+        y to the orbit of start, with its points renamed."""
+        orbit = {start}
+        while True:
+            grown = orbit | {t[p] for t in (xt, yt) for p in orbit}
+            if grown == orbit:
+                break
+            orbit = grown
+        assert sorted(points) == sorted(orbit)
+        label = {p: i for i, p in enumerate(points)}
+        assert key == tuple(tuple(label[t[p]] for p in points) for t in (xt, yt))
+
+    @pytest.mark.parametrize("name", ["S7", "PSL27", "S3xA5", "A6"])
+    def test_conjugate_pairs_share_keys(self, name):
+        G = catalog_group(name)
+        rng = random.Random(sum(name.encode()))
+        elems = G.element_tuples()
+        n = G.degree
+        for _ in range(40):
+            xt, yt = rng.choice(elems), rng.choice(elems)
+            sigma = tuple(rng.sample(range(n), n))
+            # the conjugate sends sigma(p) to sigma(x(p))
+            xs, ys = (mul(mul(inv(sigma), t), sigma) for t in (xt, yt))
+            for start in range(n):
+                key, points = restriction_key(xt, yt, start)
+                self.assert_decodes(xt, yt, start, key, points)
+                # every start point of an orbit gives the same key
+                assert restriction_key(xt, yt, points[-1])[0] == key
+                other, other_points = restriction_key(xs, ys, sigma[start])
+                self.assert_decodes(xs, ys, sigma[start], other, other_points)
+                assert other == key
+
+    def test_orbit_above_the_bound(self):
+        # a 70-cycle and a reflection: one orbit of 70 points, relabelled
+        # from its start point only
+        n = 70
+        xt = tuple((p + 1) % n for p in range(n))
+        yt = tuple(-p % n for p in range(n))
+        key, points = restriction_key(xt, yt, 5)
+        assert points[0] == 5
+        self.assert_decodes(xt, yt, 5, key, points)
+        sigma = tuple(random.Random(70).sample(range(n), n))
+        xs, ys = (mul(mul(inv(sigma), t), sigma) for t in (xt, yt))
+        assert restriction_key(xs, ys, sigma[5])[0] == key
+        G = FiniteGroup(n, [Permutation(xt), Permutation(yt)])
+        assert SOLUBLE.fast_pair(G, xt, yt) is True
+        assert list(G.restriction_cache) == [restriction_key(xt, yt, 0)[0]]
 
 
 @settings(deadline=None, max_examples=60)

@@ -82,6 +82,13 @@ class TestAnalyze:
 
 
 class TestRowStore:
+    def test_psl27_soluble_builds_few_chains(self, runner, chain_builds):
+        # one chain per relabelled orbit restriction, not one per pair of
+        # the exhaustive loop: 94 chains, where one per pair built 13 622
+        result = runner.invoke(main, ["analyze", "--group", "PSL27", "--class", "soluble"])
+        assert result.exit_code == 0
+        assert 0 < len(chain_builds) < 200
+
     def test_analyze_computes_each_row_once(self, runner, pair_row_calls):
         # per-representative probabilities, the class-reduced prob_group and
         # omega_global used to ask for each row twice: 26 pair_row calls
@@ -186,6 +193,29 @@ class TestPairCacheFile:
         self.write(cache, [{"group": load("A5").cache_key, "class": "soluble",
                             "pair": [[1, 0, 2, 3, 4], [1, 2, 0, 3, 4]], "result": True}])
         assert "not in the group" in self.refused(runner, cache)
+
+    def test_records_carry_format_and_version(self, runner, tmp_path):
+        records = self.records(self.cold(runner, tmp_path))
+        assert {(r["format"], r["version"]) for r in records} == {(1, __version__)}
+
+    def test_record_without_format_is_read(self, runner, tmp_path):
+        # files written before the format field stay valid
+        cache = self.cold(runner, tmp_path)
+        records = self.records(cache)
+        old = [{k: v for k, v in r.items() if k not in ("format", "version")}
+               for r in records]
+        self.write(cache, old)
+        result = runner.invoke(main, self.ARGS + [str(cache)])
+        assert result.exit_code == 0
+        assert self.records(cache) == records
+
+    @pytest.mark.parametrize("fmt", [2, 0, "1", True, None])
+    def test_other_format_is_refused(self, runner, tmp_path, fmt):
+        cache = self.cold(runner, tmp_path)
+        records = self.records(cache)
+        records[1]["format"] = fmt
+        self.write(cache, records)
+        assert "line 2: format" in self.refused(runner, cache)
 
     def test_failed_write_keeps_the_old_file(self, runner, tmp_path, monkeypatch):
         cache = self.cold(runner, tmp_path)
