@@ -113,10 +113,6 @@ def _order_forces_soluble(n: int) -> bool:
 
 # an orbit of at most this many points restricts into Sym(4), which is soluble
 _SOLUBLE_ORBIT_MAX = 4
-# orbits up to this length get the least relabelling over all start points;
-# longer ones are relabelled from their least point only, which keeps the key
-# exact and costs O(k) instead of O(k^2), at a lower cache hit rate
-_CANONICAL_ORBIT_MAX = 64
 
 
 def _relabel(xt: tuple, yt: tuple, start: int,
@@ -150,16 +146,13 @@ def _relabel(xt: tuple, yt: tuple, start: int,
 def restriction_key(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tuple], list[int]]:
     """The cache key of the restriction of x and y to the orbit of
     ``start``, with its points in label order: the least ``_relabel`` over
-    the orbit's start points, or the one from ``start`` for orbits longer
-    than ``_CANONICAL_ORBIT_MAX``.  Equal keys mean the same pair of
-    permutations up to renaming points."""
+    the orbit's start points.  Equal keys mean the same pair of permutations
+    up to renaming points."""
     best = _relabel(xt, yt, start)
-    orbit = best[1]
-    if len(orbit) <= _CANONICAL_ORBIT_MAX:
-        for s in orbit[1:]:
-            other = _relabel(xt, yt, s, best[0][0])
-            if other is not None and other[0] < best[0]:
-                best = other
+    for s in best[1][1:]:
+        other = _relabel(xt, yt, s, best[0][0])
+        if other is not None and other[0] < best[0]:
+            best = other
     return best
 
 
@@ -170,8 +163,8 @@ def _soluble_restriction(G: FiniteGroup, xr: tuple, yr: tuple) -> bool:
     sub = FiniteGroup(len(xr), [Permutation(xr), Permutation(yr)], cap=G.cap)
     if _order_forces_soluble(sub.order):
         return True
-    # on a single orbit of all the points <x', y'> is conjugate to <x, y>
-    if len(xr) == G.degree and sub.order == G.order:
+    # a restriction as large as G forces <x, y> = G and a faithful restriction
+    if sub.order == G.order:
         return G.is_soluble
     return sub.is_soluble
 
@@ -188,12 +181,12 @@ def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     for start in range(G.degree):
         if seen[start]:
             continue
-        _, points = _relabel(xt, yt, start)
+        # every relabelling lists the whole orbit
+        key, points = restriction_key(xt, yt, start)
         for p in points:
             seen[p] = 1
         if len(points) <= _SOLUBLE_ORBIT_MAX:
             continue
-        key, _ = restriction_key(xt, yt, start)
         result = G.restriction_cache.get(key)
         if result is None:
             result = G.restriction_cache[key] = _soluble_restriction(G, *key)

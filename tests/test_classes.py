@@ -235,22 +235,6 @@ class TestRestrictionKey:
                 self.assert_decodes(xs, ys, sigma[start], other, other_points)
                 assert other == key
 
-    def test_orbit_above_the_bound(self):
-        # a 70-cycle and a reflection: one orbit of 70 points, relabelled
-        # from its start point only
-        n = 70
-        xt = tuple((p + 1) % n for p in range(n))
-        yt = tuple(-p % n for p in range(n))
-        key, points = restriction_key(xt, yt, 5)
-        assert points[0] == 5
-        self.assert_decodes(xt, yt, 5, key, points)
-        sigma = tuple(random.Random(70).sample(range(n), n))
-        xs, ys = (mul(mul(inv(sigma), t), sigma) for t in (xt, yt))
-        assert restriction_key(xs, ys, sigma[5])[0] == key
-        G = FiniteGroup(n, [Permutation(xt), Permutation(yt)])
-        assert SOLUBLE.fast_pair(G, xt, yt) is True
-        assert list(G.restriction_cache) == [restriction_key(xt, yt, 0)[0]]
-
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 167), st.integers(0, 167))
