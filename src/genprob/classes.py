@@ -14,12 +14,12 @@ constructing the subgroup where a cheap criterion exists:
   ambient group as a hard size bound).
 * soluble: commuting generators give an abelian group.  Otherwise the pair
   is split into its restrictions to the orbits of <x, y>, and it is soluble
-  iff every restriction is.  Orbits of at most four points are skipped.
-  Each other restriction is relabelled onto 0..k-1 and looked up by that
-  key in the group's ``restriction_cache``; on a miss the relabelled pair
-  gets a stabilizer chain of degree k, its order settles the question when
-  it is below 60, odd, or has at most two prime divisors, and its derived
-  series settles the rest.
+  iff every restriction is.  Each restriction is relabelled onto 0..k-1
+  and looked up by that key in the group's ``restriction_cache``; on a
+  miss the relabelled pair gets a stabilizer chain of degree k, its order
+  settles the question when it is below 60, odd, or has at most two prime
+  divisors (so every orbit of at most four points), and its derived series
+  settles the rest.
 
 Every fast test is property-checked against the plain
 ``predicate(subgroup(x, y))`` route in the test suite.
@@ -111,10 +111,6 @@ def _order_forces_soluble(n: int) -> bool:
     return n < _SMALLEST_INSOLUBLE or n % 2 == 1 or len(prime_factors(n)) <= 2
 
 
-# an orbit of at most this many points restricts into Sym(4), which is soluble
-_SOLUBLE_ORBIT_MAX = 4
-
-
 def _relabel(xt: tuple, yt: tuple, start: int,
              bound: tuple | None = None) -> tuple[tuple[tuple, tuple], list[int]] | None:
     """The restriction of x and y to the orbit of ``start`` under <x, y>,
@@ -185,8 +181,6 @@ def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
         key, points = restriction_key(xt, yt, start)
         for p in points:
             seen[p] = 1
-        if len(points) <= _SOLUBLE_ORBIT_MAX:
-            continue
         result = G.restriction_cache.get(key)
         if result is None:
             result = G.restriction_cache[key] = _soluble_restriction(G, *key)

@@ -7,9 +7,11 @@ deterministic: the same config and seed produce byte-identical JSON.  The
 ``--workers`` value changes neither the output nor the work, and is left out
 of the config echo.
 
-Exit status is 0 when every check asserted during the run holds, 1 when an
-identity, diameter bound or monotonicity check fails, and 2 on bad input, a
-refused run or an unwritable file, which prints one ``Error:`` line on stderr.
+Every subcommand ends in ``_finish``, which records whether the checks the
+run asserted hold as the report's ``passed`` field, prints the report, and
+exits 1 when one of them fails: an identity, a diameter bound or the
+monotonicity of a tower.  Bad input, a refused run or an unwritable file
+exits 2 after one ``Error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import click
 
 from . import __version__
 from .catalog import list_entries, load
-from .classes import class_by_name, pair_by_predicate, pair_key
+from .classes import BUILTIN_CLASSES, SOLUBLE, class_by_name, pair_by_predicate, pair_key
 from .errors import GroupError
 from .graphs import build_graph, components_and_diameters
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
@@ -44,14 +46,19 @@ DOT_VERTEX_LIMIT = 500
 CAP_ENV = "GENPROB_CAP"
 PAIR_BUDGET_ENV = "GENPROB_PAIR_BUDGET"
 
-WORKERS_HELP = "Accepted for compatibility; changes neither the output nor the work."
-
 # the flag beats the environment variable, which beats the default; click
 # rejects a value that is not an integer with exit 2
 cap_option = click.option(
     "--cap", type=int, default=DEFAULT_MATERIALIZATION_CAP, envvar=CAP_ENV,
     help=f"Materialization cap (default from ${CAP_ENV} or "
          f"{DEFAULT_MATERIALIZATION_CAP}).")
+format_option = click.option(
+    "--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+class_option = click.option(
+    "--class", "class_name", required=True, type=click.Choice(sorted(BUILTIN_CLASSES)))
+workers_option = click.option(
+    "--workers", type=int, default=1,
+    help="Accepted for compatibility; changes neither the output nor the work.")
 
 
 class InputError(SystemExit):
@@ -122,6 +129,15 @@ def _emit(report: dict, fmt: str) -> None:
     writer.writerow(["key", "value"])
     writer.writerows(rows)
     click.echo(buf.getvalue().rstrip("\n"))
+
+
+def _finish(report: dict, fmt: str, passed: bool) -> None:
+    """Record the run's verdict, print the report, and exit 1 if a check
+    failed."""
+    report["passed"] = passed
+    _emit(report, fmt)
+    if not passed:
+        sys.exit(1)
 
 
 def _envelope(command: str, config: dict, seed: int | None = None) -> dict:
@@ -219,9 +235,8 @@ def main() -> None:
 @main.command()
 @click.option("--group", "group_source", required=True,
               help="Catalog name or path to a group-spec file.")
-@click.option("--class", "class_name", required=True,
-              type=click.Choice(["abelian", "nilpotent", "soluble"]))
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@class_option
+@format_option
 @cap_option
 @click.option("--pair-budget", type=int, default=10**9, envvar=PAIR_BUDGET_ENV,
               help=f"Maximum element pairs per run (default from ${PAIR_BUDGET_ENV} "
@@ -262,22 +277,18 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
         "prob_group_method": whole.method,
         "omega_global_size": len(core),
         "identities": identities.results,
-        "passed": identities.passed,
     })
     if cache_path is not None:
         _save_pair_cache(G, class_name, cache_path)
-    _emit(report, fmt)
-    if not identities.passed:
-        sys.exit(1)
+    _finish(report, fmt, identities.passed)
 
 
 @main.command()
 @click.option("--group", "group_source", required=True)
-@click.option("--class", "class_name", required=True,
-              type=click.Choice(["abelian", "nilpotent", "soluble"]))
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@class_option
+@format_option
 @cap_option
-@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
+@workers_option
 @click.option("--dot", "dot_path", type=click.Path(path_type=Path), default=None,
               help=f"Write a DOT edge dump (graphs up to {DOT_VERTEX_LIMIT} vertices).")
 def graph(group_source: str, class_name: str, fmt: str, cap: int,
@@ -301,7 +312,6 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int,
                 c["diameter"] <= NILPOTENT_COMPONENT_DIAMETER_BOUND
                 for c in result.components
             )
-    passed = all(bounds.values())
 
     report = _envelope("graph", {
         "group": group_source, "class": class_name, "cap": cap,
@@ -309,7 +319,6 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int,
     report.update(result.to_json())
     report["empty"] = g.is_empty
     report["bounds"] = bounds
-    report["passed"] = passed
 
     if dot_path is not None:
         if len(g.vertices) > DOT_VERTEX_LIMIT:
@@ -322,9 +331,7 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int,
         except OSError as exc:
             _refuse(f"cannot write DOT file {dot_path}: {exc}")
 
-    _emit(report, fmt)
-    if not passed:
-        sys.exit(1)
+    _finish(report, fmt, all(bounds.values()))
 
 
 @main.group()
@@ -335,7 +342,7 @@ def wreath() -> None:
 @wreath.command("verify")
 @click.option("--samples", type=click.IntRange(min=1), default=100)
 @click.option("--seed", type=int, default=0)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@format_option
 def wreath_verify(samples: int, seed: int, fmt: str) -> None:
     """Run the full first-level verification suite."""
     level, g_top = base_level()
@@ -343,10 +350,7 @@ def wreath_verify(samples: int, seed: int, fmt: str) -> None:
     result = verify_lemma_mechanism(level, T, samples=samples, seed=seed)
     report = _envelope("wreath verify", {"samples": samples}, seed=seed)
     report.update(result.to_json())
-    report["passed"] = result.all_passed
-    _emit(report, fmt)
-    if not result.all_passed:
-        sys.exit(1)
+    _finish(report, fmt, result.all_passed)
 
 
 @main.group()
@@ -357,11 +361,10 @@ def tower() -> None:
 @tower.command("dihedral")
 @click.option("--prime", type=int, required=True)
 @click.option("--levels", type=click.IntRange(min=1), required=True)
-@click.option("--class", "class_name", required=True,
-              type=click.Choice(["abelian", "nilpotent", "soluble"]))
+@class_option
 @click.option("--track", type=click.Choice(["x", "r"]), default="x")
 @cap_option
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@format_option
 def tower_dihedral(prime: int, levels: int, class_name: str, track: str,
                    cap: int, fmt: str) -> None:
     """Probability sequence along the dihedral tower plus the verdict."""
@@ -375,14 +378,11 @@ def tower_dihedral(prime: int, levels: int, class_name: str, track: str,
     })
     report.update(mono.to_json())
     report["verdict"] = verdict.verdict
-    report["passed"] = mono.monotone
-    _emit(report, fmt)
-    if not mono.monotone:
-        sys.exit(1)
+    _finish(report, fmt, mono.monotone)
 
 
 @main.command("catalog-list")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@format_option
 def catalog_list(fmt: str) -> None:
     """List the built-in group catalog."""
     report = _envelope("catalog-list", {})
@@ -390,8 +390,7 @@ def catalog_list(fmt: str) -> None:
         {"name": e.name, "expected_order": e.expected_order, "tags": e.tags}
         for e in list_entries()
     ]
-    report["passed"] = True
-    _emit(report, fmt)
+    _finish(report, fmt, True)
 
 
 SELFTEST_GROUPS = ("S3", "A4", "D12", "Q8", "SL23", "S4", "A5")
@@ -399,15 +398,13 @@ SELFTEST_GROUPS = ("S3", "A4", "D12", "Q8", "SL23", "S4", "A5")
 
 @main.command()
 @click.option("--seed", type=int, default=0)
-@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@workers_option
+@format_option
 def selftest(seed: int, workers: int, fmt: str) -> None:
     """Deterministic identity and graph suite over a fixed group sample.
 
     The same seed yields byte-identical output.
     """
-    from .classes import SOLUBLE
-
     checks = []
     ok = True
     for name in SELFTEST_GROUPS:
@@ -421,7 +418,8 @@ def selftest(seed: int, workers: int, fmt: str) -> None:
         ok = ok and identities.passed
     g = build_graph(SOLUBLE, load("A5"))
     graph_report = components_and_diameters(g, workers=workers)
-    graph_ok = graph_report.connected and graph_report.max_diameter <= 5
+    graph_ok = (graph_report.connected
+                and graph_report.max_diameter <= SOLUBLE_CONNECTED_DIAMETER_BOUND)
     ok = ok and graph_ok
 
     report = _envelope("selftest", {}, seed=seed)
@@ -431,10 +429,7 @@ def selftest(seed: int, workers: int, fmt: str) -> None:
         "max_diameter": graph_report.max_diameter,
         "passed": graph_ok,
     }
-    report["passed"] = ok
-    _emit(report, fmt)
-    if not ok:
-        sys.exit(1)
+    _finish(report, fmt, ok)
 
 
 if __name__ == "__main__":

@@ -90,11 +90,7 @@ class StabilizerChain:
         ident = identity_tuple(degree)
         for g in gens:
             if g != ident:
-                self._add_generator(g, 0)
-
-    @property
-    def base(self) -> list[int]:
-        return [lv.point for lv in self.levels]
+                self._insert(g, 0, 0)
 
     def order(self) -> int:
         return math.prod(len(lv.orbit) for lv in self.levels)
@@ -122,10 +118,6 @@ class StabilizerChain:
         for lv in self.levels:
             t = mul(lv.orbit[min(lv.orbit, key=t.__getitem__)], t)
         return t
-
-    def _add_generator(self, p: tuple[int, ...], level: int) -> None:
-        # p fixes the base points of all levels before `level`
-        self._insert(p, level, level)
 
     def _insert(self, p: tuple[int, ...], first: int, last: int) -> None:
         """Install p as a strong generator at levels first..last, then re-close.
@@ -315,7 +307,7 @@ class FiniteGroup:
                 if not chain.contains(c):
                     closure_gens.append(c)
                     worklist.append(c)
-                    chain._add_generator(c, 0)
+                    chain._insert(c, 0, 0)
         sub = FiniteGroup.__new__(FiniteGroup)
         sub._set_fields(self.degree, [Permutation(t) for t in closure_gens],
                         chain, self.cap, None)
@@ -571,11 +563,6 @@ class ElementSet:
             self.group,
             frozenset(index_of(mul(mul(gi, elems[i]), gt)) for i in self.members),
         )
-
-    def intersection(self, other: "ElementSet") -> "ElementSet":
-        if other.group is not self.group:
-            raise ValueError("element sets live in different groups")
-        return ElementSet(self.group, self.members & other.members)
 
     def as_subgroup(self, name: str | None = None) -> FiniteGroup:
         return self.group.subgroup(self.perms(), name=name)

@@ -19,6 +19,7 @@ from .errors import CapExceeded, GroupError
 from .group import DEFAULT_MATERIALIZATION_CAP, ElementSet, FiniteGroup
 from .perm import Permutation
 from .probability import hypercenter, omega_global, prob_elem, soluble_radical
+from .util import prime_factors
 
 __all__ = [
     "QuotientTower",
@@ -72,7 +73,7 @@ def dihedral_tower(
     involution x is point negation.  Projections send r to r and x to x;
     this is the finite shadow of inverting a procyclic rotation group.
     """
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p ** 0.5) + 1, 2)):
+    if p % 2 == 0 or prime_factors(p) != [p]:
         raise GroupError("p must be an odd prime")
     if 2 * p ** n_max > cap:
         raise CapExceeded(f"top level order {2 * p ** n_max} exceeds cap {cap}")
@@ -165,16 +166,6 @@ class PositivityReport:
     class_name: str
     indices: list[int]
     verdict: str
-    track: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "tower": self.tower,
-            "class": self.class_name,
-            "indices": self.indices,
-            "verdict": self.verdict,
-            "track": self.track,
-        }
 
 
 def _core(C: GroupClass, G: FiniteGroup) -> ElementSet:
@@ -209,4 +200,4 @@ def positivity_verdict(
         verdict = f"not nilpotent-positive along track {track!r}"
     else:
         verdict = "hypercenter index diverging"
-    return PositivityReport(tower.name, C.name, indices, verdict, track)
+    return PositivityReport(tower.name, C.name, indices, verdict)

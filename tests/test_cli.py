@@ -3,9 +3,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import genprob.cli
 from genprob import __version__
 from genprob.catalog import load
+from genprob.classes import BUILTIN_CLASSES
 from genprob.cli import main
+from genprob.probability import IdentityReport
 
 
 @pytest.fixture
@@ -354,6 +357,45 @@ class TestInputErrors:
         assert "--levels" in self.refused_usage(
             runner, ["tower", "dihedral", "--prime", "3", "--levels", "0",
                      "--class", "nilpotent"])
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--group", "S4"],
+        ["graph", "--group", "S4"],
+        ["tower", "dihedral", "--prime", "3", "--levels", "2"],
+    ], ids=["analyze", "graph", "tower"])
+    def test_unknown_class_names_every_builtin(self, runner, command):
+        stderr = self.refused_usage(runner, [*command, "--class", "bogus"])
+        assert "--class" in stderr
+        for name in BUILTIN_CLASSES:
+            assert repr(name) in stderr
+
+
+class TestFailedCheck:
+    """A check that fails prints the report with ``"passed": false`` and
+    exits 1."""
+
+    def failed(self, runner, args):
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 1
+        assert '"passed": false' in result.stdout
+        return json.loads(result.stdout)
+
+    def test_graph_diameter_bound(self, runner, monkeypatch):
+        monkeypatch.setattr(genprob.cli, "SOLUBLE_CONNECTED_DIAMETER_BOUND", 0)
+        report = self.failed(runner, ["graph", "--group", "A5", "--class", "soluble"])
+        assert report["bounds"] == {"connected": True, "diameter_le_5": False}
+
+    def test_selftest_graph_bound(self, runner, monkeypatch):
+        monkeypatch.setattr(genprob.cli, "SOLUBLE_CONNECTED_DIAMETER_BOUND", 0)
+        report = self.failed(runner, ["selftest", "--seed", "0"])
+        assert report["soluble_graph_A5"]["passed"] is False
+        assert all(check["passed"] for check in report["checks"])
+
+    def test_analyze_identity(self, runner, monkeypatch):
+        monkeypatch.setattr(genprob.cli, "verify_identities",
+                            lambda G: IdentityReport(G.name, {"center": False}))
+        report = self.failed(runner, ["analyze", "--group", "S4", "--class", "abelian"])
+        assert report["identities"] == {"center": False}
 
 
 class TestWreathAndTower:
