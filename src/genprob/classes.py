@@ -69,9 +69,6 @@ class GroupClass:
         default=None, compare=False
     )
 
-    def __str__(self) -> str:
-        return self.name
-
 
 # ---------------------------------------------------------------------------
 # fast pair tests
@@ -256,7 +253,8 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple,
     candidate.
     """
     elems = G.element_tuples()
-    if candidates is None:
+    whole = candidates is None
+    if whole:
         candidates = range(G.order)
     if C.predicate(G):
         return frozenset(candidates)
@@ -285,7 +283,8 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple,
                     orbit.append(j)
         if pair_in_group(C, G, xt, elems[min(orbit)]):
             passing += orbit
-    return frozenset(passing).intersection(candidates)
+    # orbits started from candidates may reach past them
+    return frozenset(passing) if whole else frozenset(passing).intersection(candidates)
 
 
 def _centralizer_generators(G: FiniteGroup, xt: tuple) -> list[tuple]:

@@ -102,17 +102,12 @@ class GraphReport:
 
 def _bfs_distances(graph: ClassGraph, source: int) -> dict[int, int]:
     dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in graph.neighbors(v):
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
+    order = [source]
+    for v in order:
+        for w in graph.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                order.append(w)
     return dist
 
 
@@ -181,30 +176,21 @@ def quotient_graph_compatibility(G: FiniteGroup) -> CompatibilityReport:
     soluble graph of G modulo its soluble radical, and the diameters agree."""
     from .classes import SOLUBLE
 
-    radical = soluble_radical(G)
-    R = G.subgroup(radical.perms(), name="R")
-    quotient, project = G.quotient(R)
+    quotient, project = G.quotient(soluble_radical(G).as_subgroup(name="R"))
 
     graph_G = build_graph(SOLUBLE, G)
     graph_Q = build_graph(SOLUBLE, quotient)
 
-    image_index = {}
-    for v in graph_G.vertices.members:
-        image_index[v] = quotient.index_of(project(G.element_at(v)))
-
+    image = {v: quotient.index_of(project(G.element_at(v)))
+             for v in graph_G.vertices.members}
+    # a pair v < w mismatches iff w lies in exactly one of v's two sets
     mismatches = 0
-    verts = sorted(graph_G.vertices.members)
-    for a_pos, v in enumerate(verts):
-        for w in verts[a_pos + 1:]:
-            upstairs = graph_G.adjacent(v, w)
-            iv, iw = image_index[v], image_index[w]
-            if iv == iw:
-                # same coset of the radical: <v, w> lies in R<v>, always soluble
-                downstairs = True
-            else:
-                downstairs = graph_Q.adjacent(iv, iw)
-            if upstairs != downstairs:
-                mismatches += 1
+    for v, iv in image.items():
+        # iw == iv: v and w share a coset of R, and <v, w> <= R<v> is soluble
+        near = set(graph_Q.neighbors(iv)) | {iv}
+        upstairs = {w for w in graph_G.neighbors(v) if w > v}
+        downstairs = {w for w, iw in image.items() if w > v and iw in near}
+        mismatches += len(upstairs ^ downstairs)
 
     if graph_G.is_empty:
         return CompatibilityReport(G.name or "G", mismatches == 0, None, None, mismatches)

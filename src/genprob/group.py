@@ -139,17 +139,14 @@ class StabilizerChain:
 
     def _recompute_orbit(self, lv: _Level) -> None:
         lv.orbit = {lv.point: identity_tuple(self.degree)}
-        frontier = [lv.point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                u = lv.orbit[x]
-                for g in lv.gens:
-                    y = g[x]
-                    if y not in lv.orbit:
-                        lv.orbit[y] = mul(u, g)
-                        nxt.append(y)
-            frontier = nxt
+        points = [lv.point]
+        for x in points:
+            u = lv.orbit[x]
+            for g in lv.gens:
+                y = g[x]
+                if y not in lv.orbit:
+                    lv.orbit[y] = mul(u, g)
+                    points.append(y)
 
     def _close_level(self, level: int) -> None:
         lv = self.levels[level]
@@ -355,22 +352,15 @@ class FiniteGroup:
                 cid = len(reps)
                 reps.append(start)
                 class_of[start] = cid
-                transporter[start] = identity_tuple(self.degree)
-                frontier = [start]
-                count = 1
-                while frontier:
-                    nxt = []
-                    for i in frontier:
-                        for g in self._gen_tuples:
-                            c = _conj(elems[i], g)
-                            j = self.index_of(c)
-                            if class_of[j] == -1:
-                                class_of[j] = cid
-                                transporter[j] = mul(transporter[i], g)
-                                nxt.append(j)
-                                count += 1
-                    frontier = nxt
-                sizes.append(count)
+                orbit = [start]
+                for i in orbit:
+                    for g in self._gen_tuples:
+                        j = self.index_of(_conj(elems[i], g))
+                        if class_of[j] == -1:
+                            class_of[j] = cid
+                            transporter[j] = mul(transporter[i], g)
+                            orbit.append(j)
+                sizes.append(len(orbit))
             self._class_data = (reps, sizes, class_of, transporter)
         return self._class_data
 
@@ -383,33 +373,28 @@ class FiniteGroup:
         ]
         return self._normal_closure_tuples(seed)
 
-    def derived_series(self) -> list["FiniteGroup"]:
-        """Descending derived series, stopping when it stabilizes."""
+    def _descending_series(
+        self, step: Callable[["FiniteGroup"], "FiniteGroup"]
+    ) -> list["FiniteGroup"]:
+        """This group, then ``step`` of the last term, until the order stops
+        falling."""
         series = [self]
-        current = self
-        while current.order > 1:
-            nxt = current.derived_subgroup()
-            if nxt.order == current.order:
+        while series[-1].order > 1:
+            nxt = step(series[-1])
+            if nxt.order == series[-1].order:
                 break
             series.append(nxt)
-            current = nxt
         return series
 
+    def derived_series(self) -> list["FiniteGroup"]:
+        """Descending derived series, stopping when it stabilizes."""
+        return self._descending_series(FiniteGroup.derived_subgroup)
+
     def lower_central_series(self) -> list["FiniteGroup"]:
-        series = [self]
-        current = self
-        while current.order > 1:
-            seed = [
-                _comm(g, c)
-                for g in self._gen_tuples
-                for c in current._gen_tuples
-            ]
-            nxt = self._normal_closure_tuples(seed)
-            if nxt.order == current.order:
-                break
-            series.append(nxt)
-            current = nxt
-        return series
+        """Lower central series: the normal closure in this group of the
+        commutators of its generators with the last term's."""
+        return self._descending_series(lambda H: self._normal_closure_tuples(
+            [_comm(g, c) for g in self._gen_tuples for c in H._gen_tuples]))
 
     def upper_central_series(self) -> list["ElementSet"]:
         """Ascending central series as element sets, ending at the hypercenter.
@@ -484,18 +469,13 @@ class FiniteGroup:
         key = normal.chain.coset_key
         reps: list[tuple[int, ...]] = [identity_tuple(self.degree)]
         coset_of = {key(reps[0]): 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for g in self._gen_tuples:
-                    t = mul(reps[i], g)
-                    k = key(t)
-                    if k not in coset_of:
-                        coset_of[k] = len(reps)
-                        reps.append(t)
-                        nxt.append(len(reps) - 1)
-            frontier = nxt
+        for rep in reps:
+            for g in self._gen_tuples:
+                t = mul(rep, g)
+                k = key(t)
+                if k not in coset_of:
+                    coset_of[k] = len(reps)
+                    reps.append(t)
         assert len(reps) == index
 
         def project(p: Permutation) -> Permutation:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DegreeMismatch, ParseError
 from .util import pi_part
@@ -109,9 +109,6 @@ class Permutation:
     def identity(degree: int) -> "Permutation":
         return Permutation(identity_tuple(degree))
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise DegreeMismatch(
@@ -189,6 +186,3 @@ class Permutation:
             for a, b in zip(points, points[1:] + points[:1]):
                 images[a] = b
         return cls(tuple(images))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.images)

@@ -121,15 +121,13 @@ def prob_group(C: GroupClass, G: FiniteGroup, method: str = "auto") -> Probabili
     """Probability that two random elements generate a class subgroup."""
     if method == "auto":
         method = "exhaustive" if G.order <= CLASS_REDUCTION_THRESHOLD else "class-reduced"
+    # listing the elements refuses a group above the cap before any index
+    # set is built
     elems = G.element_tuples()
     if method == "exhaustive":
-        favorable = sum(
-            1
-            for x in elems
-            for y in elems
-            if pair_in_group(C, G, x, y)
-        )
-    elif method == "class-reduced":
+        everything = ElementSet(G, frozenset(range(G.order)))
+        return prob_sets(C, G, everything, everything)
+    if method == "class-reduced":
         reps, sizes, _, _ = G._conjugacy_data()
         favorable = sum(
             size * len(omega(C, G, Permutation(elems[rep])))

@@ -1,7 +1,9 @@
 import pytest
 
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE, pair_in_group
+import genprob.graphs
 from genprob.graphs import (
+    ClassGraph,
     build_graph,
     components_and_diameters,
     quotient_graph_compatibility,
@@ -111,3 +113,24 @@ class TestQuotientCompatibility:
     def test_insoluble_with_trivial_radical_is_self_compatible(self):
         report = quotient_graph_compatibility(catalog_group("A5"))
         assert report.holds
+
+    def test_planted_mismatch_is_counted_once(self, monkeypatch):
+        # drop one soluble edge from both ends of G's graph, leaving the
+        # graph of G/R(G) as it is: exactly that one pair disagrees
+        G = catalog_group("C3xA5")
+
+        def without_one_edge(C, H, build=build_graph):
+            graph = build(C, H)
+            if H is not G:
+                return graph
+            v = next(u for u in sorted(graph.vertices.members) if graph.neighbors(u))
+            w = graph.neighbors(v)[0]
+            adjacency = {u: list(graph.neighbors(u)) for u in graph.vertices.members}
+            adjacency[v].remove(w)
+            adjacency[w].remove(v)
+            return ClassGraph(H, C.name, graph.vertices, adjacency)
+
+        monkeypatch.setattr(genprob.graphs, "build_graph", without_one_edge)
+        report = quotient_graph_compatibility(G)
+        assert report.mismatches == 1
+        assert report.holds is False

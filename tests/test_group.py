@@ -15,6 +15,7 @@ from genprob import (
     from_generators,
     parse_group_spec,
 )
+from genprob.catalog import load
 from genprob.group import format_group_spec
 from genprob.perm import inv, mul
 from genprob.probability import soluble_radical
@@ -170,6 +171,16 @@ class TestQuotients:
         H = S4.subgroup([P("(1,2)", 4)])
         with pytest.raises(NotNormal):
             S4.quotient(H)
+
+    def test_subgroup_outside_group_rejected(self):
+        H = catalog_group("S4").subgroup([P("(1,2)", 4)])
+        with pytest.raises(NotInGroup):
+            catalog_group("A4").quotient(H)
+
+    def test_index_above_cap_rejected(self):
+        G = load("S4", cap=10)
+        with pytest.raises(CapExceeded):
+            G.quotient(G.subgroup([]))
 
     @pytest.mark.parametrize("name, normal", [
         ("S4", lambda G: G.subgroup([P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4)])),

@@ -224,3 +224,10 @@ class TestHallBound:
         A5 = catalog_group("A5")
         r = hall_bound_check(A5, A5.subgroup([]), P("(1,2,3)", 5), P("(1,2,3,4,5)", 5))
         assert not r.holds
+
+    def test_non_normal_q_reported(self):
+        S3 = catalog_group("S3")
+        Q = S3.subgroup([P("(1,2)", 3)])
+        r = hall_bound_check(S3, Q, P("(1,2,3)", 3), P("(1,2,3)", 3))
+        assert not r.holds
+        assert "Q not normal in G" in r.details["failures"]

@@ -52,6 +52,30 @@ class TestConstruction:
         with pytest.raises(GroupError):
             QuotientTower("broken", list(tower3.levels), broken)
 
+    def test_surjective_non_homomorphism_rejected(self):
+        # D18 -> D6 keeping the generators and sending the rest to 1
+        t = dihedral_tower(3, 2)
+        low, high = t.levels
+
+        def project(e):
+            if e in high.generators:
+                return low.generators[high.generators.index(e)]
+            return low.identity
+
+        with pytest.raises(GroupError, match="not a homomorphism"):
+            QuotientTower("broken", [low, high], [project])
+
+    def test_track_of_wrong_length_rejected(self):
+        t = dihedral_tower(3, 2)
+        with pytest.raises(GroupError, match="an element per level"):
+            QuotientTower("short", t.levels, t.projections, {"x": t.tracks["x"][:1]})
+
+    def test_track_not_commuting_with_projection_rejected(self):
+        t = dihedral_tower(3, 2)
+        track = [t.tracks["r"][0], t.tracks["x"][1]]
+        with pytest.raises(GroupError, match="does not commute"):
+            QuotientTower("mixed", t.levels, t.projections, {"rx": track})
+
 
 class TestSequences:
     def test_nilpotent_track_x(self, tower3):
@@ -105,3 +129,20 @@ class TestVerdicts:
         )
         verdict = positivity_verdict(NILPOTENT, constant, track="x")
         assert verdict.verdict == "finite-by-pronilpotent"
+
+    def test_abelian_index_still_growing(self):
+        # D(2*3^n) has trivial centre, so the index is the order
+        verdict = positivity_verdict(ABELIAN, dihedral_tower(3, 3))
+        assert verdict.indices == [6, 18, 54]
+        assert verdict.verdict == "index still growing"
+
+    def test_abelian_constant_tower_stabilizes(self):
+        t = dihedral_tower(3, 1)
+        constant = QuotientTower("constant", [t.levels[0]] * 2, [lambda p: p])
+        verdict = positivity_verdict(ABELIAN, constant)
+        assert verdict.indices == [6, 6]
+        assert verdict.verdict == "global omega index stabilized"
+
+    def test_nilpotent_without_track_diverges(self, tower3):
+        verdict = positivity_verdict(NILPOTENT, tower3)
+        assert verdict.verdict == "hypercenter index diverging"
