@@ -253,8 +253,7 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple,
     candidate.
     """
     elems = G.element_tuples()
-    whole = candidates is None
-    if whole:
+    if candidates is None:
         candidates = range(G.order)
     if C.predicate(G):
         return frozenset(candidates)
@@ -283,8 +282,7 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple,
                     orbit.append(j)
         if pair_in_group(C, G, xt, elems[min(orbit)]):
             passing += orbit
-    # orbits started from candidates may reach past them
-    return frozenset(passing) if whole else frozenset(passing).intersection(candidates)
+    return frozenset(passing).intersection(candidates)
 
 
 def _centralizer_generators(G: FiniteGroup, xt: tuple) -> list[tuple]:
