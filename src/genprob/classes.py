@@ -253,8 +253,9 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple,
     candidate.
     """
     elems = G.element_tuples()
-    if candidates is None:
-        candidates = range(G.order)
+    # soluble rows read it twice, in the orbit loop and the closing
+    # intersection, so a one-shot iterator becomes a list
+    candidates = range(G.order) if candidates is None else list(candidates)
     if C.predicate(G):
         return frozenset(candidates)
     # abelian and nilpotent rows stay per element on purpose: a commute check

@@ -1,11 +1,12 @@
 """Class graphs: vertices are elements outside the global omega set, edges
 join distinct elements generating a class subgroup.
 
-Adjacency is conjugation-equivariant, so adjacency rows are computed once per
-conjugacy class and transported to the rest of the class, and eccentricities
-are computed by BFS from class representatives only; the maximum over
-representatives is the true diameter because conjugation acts by graph
-automorphisms.
+Conjugation acts by graph automorphisms.  So an adjacency row is computed
+once per conjugacy class, at its representative, and moves to the rest of the
+class by the conjugation tables (``FiniteGroup.conjugation_tables``): along
+the class breadth-first search, one table lookup per row member.  Likewise
+eccentricities are computed by BFS from class representatives only; the
+maximum over representatives is the true diameter.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 # this import site of it gets wrapped, so the name stays bound
 from .classes import GroupClass, pair_in_group
 from .group import ElementSet, FiniteGroup
-from .perm import Permutation
 from .probability import omega, omega_global, soluble_radical
 
 __all__ = [
@@ -68,15 +68,21 @@ def build_graph(C: GroupClass, G: FiniteGroup) -> ClassGraph:
     """
     core = omega_global(C, G)
     vertex_set = frozenset(range(G.order)) - core.members
-    elems = G.element_tuples()
-    reps, _, class_of, transporter = G._conjugacy_data()
-    rows = {cid: omega(C, G, Permutation(elems[reps[cid]]))
-            for cid in sorted({class_of[v] for v in vertex_set})}
+    reps, _, class_of, _ = G._conjugacy_data()
+    tables = G.conjugation_tables()
     adjacency: dict[int, list[int]] = {}
-    for v in vertex_set:
-        cid = class_of[v]
-        row = rows[cid] if v == reps[cid] else rows[cid].conjugate(Permutation(transporter[v]))
-        adjacency[v] = sorted((row.members & vertex_set) - {v})
+    for r in sorted({reps[class_of[v]] for v in vertex_set}):
+        row = omega(C, G, G.element_at(r)).members
+        adjacency[r] = sorted((row & vertex_set) - {r})
+        # conjugation by a generator is a graph automorphism, so the row of
+        # t[i] is the row of i moved by t
+        orbit = [r]
+        for i in orbit:
+            for t in tables:
+                j = t[i]
+                if j not in adjacency:
+                    adjacency[j] = sorted([t[m] for m in adjacency[i]])
+                    orbit.append(j)
     return ClassGraph(G, C.name, ElementSet(G, vertex_set), adjacency)
 
 

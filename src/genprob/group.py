@@ -211,6 +211,7 @@ class FiniteGroup:
         # soluble pair test: relabelled orbit restriction -> soluble
         self.restriction_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         self._class_data: tuple | None = None
+        self._conjugation_tables: list[list[int]] | None = None
 
     # -- identity / keys ----------------------------------------------------
 
@@ -333,15 +334,31 @@ class FiniteGroup:
         reps, sizes, _, _ = self._conjugacy_data()
         return [(self.element_at(r), s) for r, s in zip(reps, sizes)]
 
+    def conjugation_tables(self) -> list[list[int]]:
+        """One index table per generator s: ``t[i]`` is the index of
+        s^-1 g_i s, g_i the i-th element of the enumeration."""
+        if self._conjugation_tables is None:
+            elems = self.element_tuples()
+            index = self._index
+            assert index is not None
+            tables = []
+            for s in self._gen_tuples:
+                si = inv(s)
+                tables.append([index[mul(mul(si, t), s)] for t in elems])
+            self._conjugation_tables = tables
+        return self._conjugation_tables
+
     def _conjugacy_data(self) -> tuple[list[int], list[int], list[int], list[tuple[int, ...]]]:
         """Returns (rep indices, class sizes, class id per element, transporters).
 
         ``transporters[i]`` is a group element g with rep^g equal to element i,
-        where rep is the representative of element i's class.
+        where rep is the representative of element i's class.  Each class is
+        walked from its representative by the conjugation tables, so the walk
+        looks up element indices and multiplies only to record transporters.
         """
         if self._class_data is None:
-            elems = self.element_tuples()
-            n = len(elems)
+            n = self.order
+            tables = list(zip(self._gen_tuples, self.conjugation_tables()))
             class_of = [-1] * n
             transporter: list[tuple[int, ...]] = [identity_tuple(self.degree)] * n
             reps: list[int] = []
@@ -354,8 +371,8 @@ class FiniteGroup:
                 class_of[start] = cid
                 orbit = [start]
                 for i in orbit:
-                    for g in self._gen_tuples:
-                        j = self.index_of(_conj(elems[i], g))
+                    for g, t in tables:
+                        j = t[i]
                         if class_of[j] == -1:
                             class_of[j] = cid
                             transporter[j] = mul(transporter[i], g)

@@ -57,3 +57,20 @@ def chain_builds(monkeypatch):
 
     monkeypatch.setattr(StabilizerChain, "__init__", counted)
     return calls
+
+
+@pytest.fixture
+def index_of_calls(monkeypatch):
+    """The argument of every ``FiniteGroup.index_of`` call made while the
+    test runs."""
+    from genprob.group import FiniteGroup
+
+    calls = []
+    index_of = FiniteGroup.index_of
+
+    def counted(self, p):
+        calls.append(p)
+        return index_of(self, p)
+
+    monkeypatch.setattr(FiniteGroup, "index_of", counted)
+    return calls

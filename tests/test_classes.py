@@ -136,6 +136,16 @@ def test_orbit_row_matches_predicate_row(name):
         assert pair_row(SOLUBLE, G, rep.images, candidates) == expected & candidates
 
 
+@pytest.mark.parametrize("klass", [SOLUBLE, NILPOTENT], ids=lambda c: c.name)
+def test_row_reads_candidates_once(klass):
+    """Candidates given as a one-shot iterator give the row a list gives."""
+    G = catalog_group("A5")
+    for xt in G.element_tuples():
+        assert pair_row(klass, G, xt, iter(range(10))) == pair_row(
+            klass, G, xt, list(range(10))
+        )
+
+
 def test_orbit_rows_test_few_pairs():
     # rows tested element by element leave 7 865 distinct pairs here; one
     # test per orbit leaves 217

@@ -1,5 +1,6 @@
 import pytest
 
+from genprob.catalog import load
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE, pair_in_group
 import genprob.graphs
 from genprob.graphs import (
@@ -8,7 +9,8 @@ from genprob.graphs import (
     components_and_diameters,
     quotient_graph_compatibility,
 )
-from genprob.probability import omega_global
+from genprob.perm import Permutation
+from genprob.probability import omega, omega_global
 
 from conftest import catalog_group
 
@@ -55,6 +57,24 @@ class TestBuild:
                 w for w in verts
                 if w != v and pair_in_group(klass, G, elems[v], elems[w])
             ]
+
+    @pytest.mark.parametrize("name", ["A5", "S5", "C3xA5", "S3xA5"])
+    @pytest.mark.parametrize("klass", [ABELIAN, NILPOTENT, SOLUBLE], ids=lambda c: c.name)
+    def test_rows_match_conjugated_representative_row(self, name, klass):
+        # each row is carried across its class by the conjugation tables;
+        # the oracle conjugates the representative's Omega row by products
+        G = catalog_group(name)
+        g = build_graph(klass, G)
+        reps, _, class_of, transporter = G._conjugacy_data()
+        V = g.vertices.members
+        for v in V:
+            row = omega(klass, G, G.element_at(reps[class_of[v]]))
+            moved = row.conjugate(Permutation(transporter[v])).members
+            assert g.neighbors(v) == sorted((moved & V) - {v})
+
+    def test_build_looks_up_no_index(self, index_of_calls):
+        build_graph(SOLUBLE, load("S6"))  # fresh, so its class data is built here
+        assert index_of_calls == []
 
     def test_no_self_loops(self):
         g = build_graph(NILPOTENT, catalog_group("S4"))

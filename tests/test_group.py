@@ -16,7 +16,7 @@ from genprob import (
     parse_group_spec,
 )
 from genprob.catalog import load
-from genprob.group import format_group_spec
+from genprob.group import _conj, format_group_spec
 from genprob.perm import inv, mul
 from genprob.probability import soluble_radical
 
@@ -109,6 +109,15 @@ class TestStructure:
             rep = G.element_at(reps[class_of[i]])
             g = Permutation(transporter[i])
             assert rep ** g == G.element_at(i)
+
+    @pytest.mark.parametrize("name", ["S5", "PSL27"])
+    def test_conjugation_tables(self, name):
+        G = catalog_group(name)
+        elems = G.element_tuples()
+        tables = G.conjugation_tables()
+        assert len(tables) == len(G.generators)
+        for s, t in zip(G._gen_tuples, tables):
+            assert t == [G.index_of(_conj(g, s)) for g in elems]
 
     def test_derived_series_s4(self):
         assert [H.order for H in catalog_group("S4").derived_series()] == [24, 12, 4, 1]

@@ -95,6 +95,15 @@ class TestProbSets:
             NILPOTENT, G
         ).probability
 
+    @pytest.mark.parametrize("klass", [ABELIAN, NILPOTENT, SOLUBLE], ids=lambda c: c.name)
+    def test_whole_times_whole_matches_class_reduced(self, klass):
+        # the class-reduced route counts from Omega rows, not pair by pair
+        G = catalog_group("S4")
+        full = ElementSet(G, frozenset(range(G.order)))
+        assert prob_sets(klass, G, full, full).favorable == prob_group(
+            klass, G, method="class-reduced"
+        ).favorable
+
 
 class TestGlobalOmega:
     def test_reduced_matches_brute(self):
