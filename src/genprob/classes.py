@@ -26,8 +26,12 @@ Every fast test is property-checked against the plain
 
 ``pair_row`` computes a whole Omega(x) row.  Soluble rows take one pair test
 per orbit of x-translation, inversion and C_G(x)-conjugation, which leave
-<x, g> unchanged up to conjugation.  Abelian and nilpotent rows stay one test
-per element: a commute check is cheaper than building the orbits, and the
+<x, g> unchanged up to conjugation.  Those maps are index tables of the
+group's regular representation (``FiniteGroup.right_table`` and its
+siblings, each a few gathers of the stored generator tables), so the orbit
+walk and the search for generators of C_G(x) look up element indices and
+form no permutation products.  Abelian and nilpotent rows stay one test per
+element: a commute check is cheaper than building the orbits, and the
 nilpotent counts of the dihedral tower are pinned by the benchmark.
 """
 
@@ -35,11 +39,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import NotInGroup, UnknownName
 from .group import FiniteGroup, bfs_closure, direct_product
-from .perm import Permutation, identity_tuple, inv, mul, prime_component, tuple_order
+from .perm import Permutation, identity_tuple, mul, prime_component, tuple_order
 from .util import pi_part, prime_factors
 
 __all__ = [
@@ -238,65 +242,76 @@ def pair_in_group(C: GroupClass, G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     return result
 
 
-def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple,
-             candidates: Iterable[int] | None = None) -> frozenset[int]:
-    """The indices i among ``candidates`` (all of G by default) for which
-    <x, g_i> lies in the class, g_i the i-th element of the enumeration;
-    membership of x is assumed.
+def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:
+    """The indices i for which <x, g_i> lies in the class, g_i the i-th
+    element of the enumeration; membership of x is assumed.
 
     Soluble rows are computed one orbit at a time.  <x, g> is the same
     subgroup for g, xg, gx and g^-1, and for c in C_G(x) the subgroup
     <x, c^-1 g c> is conjugate to it, so the answer is constant on the
-    orbits of the group these maps generate.  One ``pair_in_group`` call on
-    each orbit's least index decides the whole orbit; orbits that miss the
-    candidates are never built.  Every other class takes one pair test per
-    candidate.
+    orbits of the group these maps generate.  The maps act on indices as
+    the group's tables R_x, L_x, the inverse table and one conjugation
+    table per centralizer generator, so the orbit walk only looks up
+    indices.  One ``pair_in_group`` call on each orbit's least index
+    decides the whole orbit.  Every other class takes one pair test per
+    element.
     """
     elems = G.element_tuples()
-    # soluble rows read it twice, in the orbit loop and the closing
-    # intersection, so a one-shot iterator becomes a list
-    candidates = range(G.order) if candidates is None else list(candidates)
     if C.predicate(G):
-        return frozenset(candidates)
+        return frozenset(range(G.order))
     # abelian and nilpotent rows stay per element on purpose: a commute check
     # costs less than building the orbits (abelian rows of S5 and A6 took
     # 4-7 times longer with them), and the benchmark pins the nilpotent
     # pair-test and product counts of `tower dihedral 3 6`
     if C is not SOLUBLE:
-        return frozenset(i for i in candidates if pair_in_group(C, G, xt, elems[i]))
-    index = G._index
-    conjugators = [(inv(c), c) for c in _centralizer_generators(G, xt)]
+        return frozenset(i for i in range(G.order) if pair_in_group(C, G, xt, elems[i]))
+    x = G._index[xt]
+    right, left = G.right_table(x), G.left_table(x)
+    maps = [right, left, G.inverse_table(),
+            *map(G.conjugation_table, _centralizer_generators(G, right, left))]
     seen = bytearray(G.order)
     passing: list[int] = []
-    for start in candidates:
+    for start in range(G.order):
         if seen[start]:
             continue
         seen[start] = 1
-        orbit = [start]
-        for i in orbit:
-            g = elems[i]
-            for h in (mul(xt, g), mul(g, xt), inv(g),
-                      *(mul(mul(ci, g), c) for ci, c in conjugators)):
-                j = index[h]
-                if not seen[j]:
-                    seen[j] = 1
-                    orbit.append(j)
-        if pair_in_group(C, G, xt, elems[min(orbit)]):
+        # the orbits part the group and starts ascend, so start is the
+        # orbit's least index
+        orbit = _walk([start], maps, seen)
+        if pair_in_group(C, G, xt, elems[start]):
             passing += orbit
-    return frozenset(passing).intersection(candidates)
+    return frozenset(passing)
 
 
-def _centralizer_generators(G: FiniteGroup, xt: tuple) -> list[tuple]:
-    """Elements that generate C_G(x) together with x, taken greedily in
-    enumeration order: an element of the centralizer joins when the span of
-    x and the earlier ones misses it.  Conjugation by x itself is left out,
-    since the two x-translations already give it."""
-    gens: list[tuple] = []
-    span = set(bfs_closure([xt], G.degree, G.order))
-    for t in G.element_tuples():
-        if t not in span and mul(t, xt) == mul(xt, t):
-            gens.append(t)
-            span = set(bfs_closure([xt, *gens], G.degree, G.order))
+def _walk(orbit: list[int], maps: Sequence[list[int]], seen: bytearray) -> list[int]:
+    """Grow ``orbit``, whose members are marked in ``seen``, to its closure
+    under the index maps, marking each index it adds."""
+    for i in orbit:
+        for t in maps:
+            j = t[i]
+            if not seen[j]:
+                seen[j] = 1
+                orbit.append(j)
+    return orbit
+
+
+def _centralizer_generators(G: FiniteGroup, right: list[int], left: list[int]) -> list[int]:
+    """Indices of elements that generate C_G(x) together with x, given
+    x's tables R_x and L_x, taken greedily in enumeration order: g_i
+    commutes with x iff ``left[i] == right[i]``, and joins when the span of
+    x and the earlier ones misses it.  The span grows by a walk over the
+    right tables of its generators from the identity.  Conjugation by x
+    itself is left out, since the two x-translations already give it."""
+    gens: list[int] = []
+    maps = [right]
+    in_span = bytearray(G.order)
+    in_span[0] = 1
+    span = _walk([0], maps, in_span)
+    for i in range(G.order):
+        if not in_span[i] and left[i] == right[i]:
+            gens.append(i)
+            maps.append(G.right_table(i))
+            _walk(span, maps, in_span)
     return gens
 
 

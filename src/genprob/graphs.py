@@ -68,7 +68,7 @@ def build_graph(C: GroupClass, G: FiniteGroup) -> ClassGraph:
     """
     core = omega_global(C, G)
     vertex_set = frozenset(range(G.order)) - core.members
-    reps, _, class_of, _ = G._conjugacy_data()
+    reps, _, class_of = G._conjugacy_data()
     tables = G.conjugation_tables()
     adjacency: dict[int, list[int]] = {}
     for r in sorted({reps[class_of[v]] for v in vertex_set}):
@@ -122,9 +122,11 @@ def components_and_diameters(graph: ClassGraph, workers: int = 1) -> GraphReport
 
     Per-vertex eccentricity equals that of its class representative, so BFS
     runs from representatives only; a component's diameter is the maximum of
-    those eccentricities over its vertices.  Singleton components have
-    diameter 0.  ``workers`` is accepted for compatibility; the BFS runs
-    serially, so it changes neither the report nor the work done.
+    those eccentricities over its vertices; a component search that starts
+    at a representative is not repeated for its eccentricity.  Singleton
+    components have diameter 0.  ``workers`` is accepted for compatibility;
+    the BFS runs serially, so it changes neither the report nor the work
+    done.
     """
     G = graph.group
     label = G.name or f"group(order={G.order})"
@@ -134,8 +136,10 @@ def components_and_diameters(graph: ClassGraph, workers: int = 1) -> GraphReport
         return report
 
     vertex_set = graph.vertices.members
+    reps, _, class_of = G._conjugacy_data()
     component_of: dict[int, int] = {}
     component_members: list[list[int]] = []
+    eccentricities: dict[int, int] = {}
     for v in sorted(vertex_set):
         if v in component_of:
             continue
@@ -145,14 +149,14 @@ def components_and_diameters(graph: ClassGraph, workers: int = 1) -> GraphReport
         for w in members:
             component_of[w] = comp_id
         component_members.append(members)
+        if reps[class_of[v]] == v:
+            eccentricities[v] = max(dist.values())
 
-    reps, _, class_of, _ = G._conjugacy_data()
-    source_reps = sorted({reps[class_of[v]] for v in vertex_set})
     # representatives of vertex classes are themselves vertices: the vertex
     # set is closed under conjugation
-    eccentricities = {
-        r: max(_bfs_distances(graph, r).values(), default=0) for r in source_reps
-    }
+    for r in sorted({reps[class_of[v]] for v in vertex_set}):
+        if r not in eccentricities:
+            eccentricities[r] = max(_bfs_distances(graph, r).values())
 
     for comp_id, members in enumerate(component_members):
         diameter = (

@@ -42,6 +42,19 @@ def _comm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return mul(mul(inv(a), inv(b)), mul(a, b))
 
 
+def _gather(cur: list[int], *tables: list[int]) -> list[int]:
+    """``cur`` mapped through each table in turn: index maps compose as
+    lookups, ``_gather(cur, s, t)[i] == t[s[cur[i]]]``."""
+    for t in tables:
+        cur = list(map(t.__getitem__, cur))
+    return cur
+
+
+def _conjugation_by(inverse: list[int], right_c: list[int]) -> list[int]:
+    """Conjugation by c from R_c: g -> g^-1 -> g^-1 c -> c^-1 g -> c^-1 g c."""
+    return _gather(inverse, right_c, inverse, right_c)
+
+
 def bfs_closure(gens: Sequence[tuple[int, ...]], degree: int,
                 limit: int) -> list[tuple[int, ...]] | None:
     """Breadth-first multiplicative closure of the generators from the
@@ -169,10 +182,19 @@ class StabilizerChain:
 class FiniteGroup:
     """A finite permutation group given by generators.
 
-    Generators, chain and order are fixed; the element list, class data,
-    pair cache, soluble restriction cache and Omega(x) row store fill in
-    lazily, so do not share a group between threads.  ``elements()`` lists
-    every element, gated by ``cap``.
+    Generators, chain and order are fixed; the element list, the regular
+    representation tables, class data, pair cache, soluble restriction cache
+    and Omega(x) row store fill in lazily, so do not share a group between
+    threads.  ``elements()`` lists every element, gated by ``cap``.
+
+    Once the elements are listed, maps of the group on itself act on element
+    indices as tables: ``t[i]`` is the index of the image of g_i.  The
+    regular representation is stored once, as one right-multiplication
+    table per generator, the inverse table and one generator word per
+    element.  Every other table is a few ``_gather`` calls on those:
+    right multiplication R_x composes the generator tables along x's word,
+    left multiplication is L_x = inverse, R_{x^-1}, inverse, and conjugation
+    by c is L_{c^-1} followed by R_c, with no permutation products.
     """
 
     def __init__(
@@ -211,6 +233,7 @@ class FiniteGroup:
         # soluble pair test: relabelled orbit restriction -> soluble
         self.restriction_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         self._class_data: tuple | None = None
+        self._regular: tuple | None = None
         self._conjugation_tables: list[list[int]] | None = None
 
     # -- identity / keys ----------------------------------------------------
@@ -331,36 +354,74 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> list[tuple[Permutation, int]]:
         """(enumeration-minimal representative, class size) per class."""
-        reps, sizes, _, _ = self._conjugacy_data()
+        reps, sizes, _ = self._conjugacy_data()
         return [(self.element_at(r), s) for r, s in zip(reps, sizes)]
 
-    def conjugation_tables(self) -> list[list[int]]:
-        """One index table per generator s: ``t[i]`` is the index of
-        s^-1 g_i s, g_i the i-th element of the enumeration."""
-        if self._conjugation_tables is None:
+    # -- regular representation ------------------------------------------------
+
+    def _regular_tables(self) -> tuple[list[list[int]], list[int], list[tuple[int, ...]]]:
+        """(right tables, inverse table, words), built once.
+
+        ``right[k][i]`` is the index of g_i s_k, s_k the k-th generator;
+        ``inverse[i]`` the index of g_i^-1; ``words[i]`` the generator
+        numbers whose product, in order, is g_i, found by a breadth-first
+        search over the right tables from the identity.
+        """
+        if self._regular is None:
             elems = self.element_tuples()
             index = self._index
             assert index is not None
-            tables = []
-            for s in self._gen_tuples:
-                si = inv(s)
-                tables.append([index[mul(mul(si, t), s)] for t in elems])
-            self._conjugation_tables = tables
+            right = [[index[mul(t, s)] for t in elems] for s in self._gen_tuples]
+            inverse = [index[inv(t)] for t in elems]
+            words: list[tuple[int, ...] | None] = [None] * self.order
+            words[0] = ()
+            order = [0]
+            for i in order:
+                for k, r in enumerate(right):
+                    j = r[i]
+                    if words[j] is None:
+                        words[j] = words[i] + (k,)
+                        order.append(j)
+            self._regular = (right, inverse, words)
+        return self._regular
+
+    def inverse_table(self) -> list[int]:
+        """``t[i]`` is the index of g_i^-1."""
+        return self._regular_tables()[1]
+
+    def right_table(self, x: int) -> list[int]:
+        """R_x: ``t[i]`` is the index of g_i g_x, the right tables composed
+        along the word of g_x."""
+        right, _, words = self._regular_tables()
+        return _gather(list(range(self.order)), *(right[k] for k in words[x]))
+
+    def left_table(self, x: int) -> list[int]:
+        """L_x: ``t[i]`` is the index of g_x g_i, which is
+        (g_i^-1 g_x^-1)^-1, so L_x is inverse, R_{x^-1}, inverse."""
+        inverse = self.inverse_table()
+        return _gather(inverse, self.right_table(inverse[x]), inverse)
+
+    def conjugation_table(self, c: int) -> list[int]:
+        """``t[i]`` is the index of g_c^-1 g_i g_c: L_{c^-1}, then R_c."""
+        return _conjugation_by(self.inverse_table(), self.right_table(c))
+
+    def conjugation_tables(self) -> list[list[int]]:
+        """``conjugation_table`` of each generator, in generator order."""
+        if self._conjugation_tables is None:
+            right, inverse, _ = self._regular_tables()
+            self._conjugation_tables = [_conjugation_by(inverse, r) for r in right]
         return self._conjugation_tables
 
-    def _conjugacy_data(self) -> tuple[list[int], list[int], list[int], list[tuple[int, ...]]]:
-        """Returns (rep indices, class sizes, class id per element, transporters).
+    def _conjugacy_data(self) -> tuple[list[int], list[int], list[int]]:
+        """Returns (rep indices, class sizes, class id per element).
 
-        ``transporters[i]`` is a group element g with rep^g equal to element i,
-        where rep is the representative of element i's class.  Each class is
-        walked from its representative by the conjugation tables, so the walk
-        looks up element indices and multiplies only to record transporters.
+        Each class is walked from its representative by the conjugation
+        tables, so the walk only looks up element indices.
         """
         if self._class_data is None:
             n = self.order
-            tables = list(zip(self._gen_tuples, self.conjugation_tables()))
+            tables = self.conjugation_tables()
             class_of = [-1] * n
-            transporter: list[tuple[int, ...]] = [identity_tuple(self.degree)] * n
             reps: list[int] = []
             sizes: list[int] = []
             for start in range(n):
@@ -371,14 +432,13 @@ class FiniteGroup:
                 class_of[start] = cid
                 orbit = [start]
                 for i in orbit:
-                    for g, t in tables:
+                    for t in tables:
                         j = t[i]
                         if class_of[j] == -1:
                             class_of[j] = cid
-                            transporter[j] = mul(transporter[i], g)
                             orbit.append(j)
                 sizes.append(len(orbit))
-            self._class_data = (reps, sizes, class_of, transporter)
+            self._class_data = (reps, sizes, class_of)
         return self._class_data
 
     # -- series and predicates ------------------------------------------------

@@ -128,7 +128,7 @@ def prob_group(C: GroupClass, G: FiniteGroup, method: str = "auto") -> Probabili
         everything = ElementSet(G, frozenset(range(G.order)))
         return prob_sets(C, G, everything, everything)
     if method == "class-reduced":
-        reps, sizes, _, _ = G._conjugacy_data()
+        reps, sizes, _ = G._conjugacy_data()
         favorable = sum(
             size * len(omega(C, G, Permutation(elems[rep])))
             for rep, size in zip(reps, sizes)
@@ -160,7 +160,7 @@ def omega_global(C: GroupClass, G: FiniteGroup, class_reduced: bool = True) -> E
             members = {i for i in members if pair_in_group(C, G, xt, elems[i])}
         return ElementSet(G, frozenset(members))
 
-    reps, _, class_of, _ = G._conjugacy_data()
+    reps, _, class_of = G._conjugacy_data()
     kept = [all(pair_in_group(C, G, elems[r], elems[y])
                 for y in (reps if r == 0 else range(G.order)))  # 0: the identity
             for r in reps]
@@ -177,7 +177,7 @@ def soluble_radical(G: FiniteGroup) -> ElementSet:
     if G.is_soluble:
         return ElementSet(G, frozenset(range(G.order)))
     elems = G.element_tuples()
-    reps, _, class_of, _ = G._conjugacy_data()
+    reps, _, class_of = G._conjugacy_data()
     soluble_class = [
         G.normal_closure([Permutation(elems[r])]).is_soluble for r in reps
     ]

@@ -21,6 +21,28 @@ def catalog_names(max_order=None):
     return out
 
 
+def transporters(G):
+    """For each element index i, an image tuple g with rep^g = g_i, rep the
+    representative of i's class: each class is searched from its
+    representative by conjugating with the generators as tuple products, so
+    the oracle does not read the group's index tables."""
+    from genprob.perm import identity_tuple, inv, mul
+
+    reps, _, _ = G._conjugacy_data()
+    elems = G.element_tuples()
+    found = {}
+    for r in reps:
+        found[r] = identity_tuple(G.degree)
+        orbit = [r]
+        for i in orbit:
+            for s in G._gen_tuples:
+                j = G.index_of(mul(mul(inv(s), elems[i]), s))
+                if j not in found:
+                    found[j] = mul(found[i], s)
+                    orbit.append(j)
+    return [found[i] for i in range(G.order)]
+
+
 @pytest.fixture(scope="session")
 def group_of():
     return catalog_group
@@ -35,9 +57,9 @@ def pair_row_calls(monkeypatch):
     calls = []
     pair_row = probability.pair_row
 
-    def counted(C, G, xt, candidates=None):
+    def counted(C, G, xt):
         calls.append(xt)
-        return pair_row(C, G, xt, candidates)
+        return pair_row(C, G, xt)
 
     monkeypatch.setattr(probability, "pair_row", counted)
     return calls
@@ -73,4 +95,25 @@ def index_of_calls(monkeypatch):
         return index_of(self, p)
 
     monkeypatch.setattr(FiniteGroup, "index_of", counted)
+    return calls
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """The arguments of every tuple product ``perm.mul`` made while the
+    test runs, counted at each genprob module that binds it."""
+    import sys
+
+    import genprob.perm as perm
+
+    calls = []
+    mul = perm.mul
+
+    def counted(p, q):
+        calls.append((p, q))
+        return mul(p, q)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "genprob" and getattr(module, "mul", None) is mul:
+            monkeypatch.setattr(module, "mul", counted)
     return calls

@@ -12,7 +12,7 @@ from genprob.graphs import (
 from genprob.perm import Permutation
 from genprob.probability import omega, omega_global
 
-from conftest import catalog_group
+from conftest import catalog_group, transporters
 
 
 class TestBuild:
@@ -65,7 +65,8 @@ class TestBuild:
         # the oracle conjugates the representative's Omega row by products
         G = catalog_group(name)
         g = build_graph(klass, G)
-        reps, _, class_of, transporter = G._conjugacy_data()
+        reps, _, class_of = G._conjugacy_data()
+        transporter = transporters(G)
         V = g.vertices.members
         for v in V:
             row = omega(klass, G, G.element_at(reps[class_of[v]]))
@@ -104,6 +105,22 @@ class TestDiameters:
         )
         report = components_and_diameters(g)
         assert report.max_diameter == brute
+
+    def test_component_search_doubles_as_eccentricity_search(self, monkeypatch):
+        # S6's soluble graph is one component whose least vertex represents
+        # its class, so 10 vertex classes take 10 searches, not 11
+        calls = []
+        bfs = genprob.graphs._bfs_distances
+
+        def counted(graph, source):
+            calls.append(source)
+            return bfs(graph, source)
+
+        g = build_graph(SOLUBLE, catalog_group("S6"))
+        monkeypatch.setattr(genprob.graphs, "_bfs_distances", counted)
+        report = components_and_diameters(g)
+        assert len(report.components) == 1
+        assert len(calls) == len(set(calls)) == 10
 
     def test_worker_count_does_not_change_result(self):
         g = build_graph(SOLUBLE, catalog_group("PSL27"))

@@ -17,10 +17,10 @@ from genprob import (
 )
 from genprob.catalog import load
 from genprob.group import _conj, format_group_spec
-from genprob.perm import inv, mul
+from genprob.perm import identity_tuple, inv, mul
 from genprob.probability import soluble_radical
 
-from conftest import catalog_group, catalog_names
+from conftest import catalog_group, catalog_names, transporters
 
 P = Permutation.parse
 
@@ -104,13 +104,12 @@ class TestStructure:
 
     def test_transporters(self):
         G = catalog_group("S4")
-        reps, _, class_of, transporter = G._conjugacy_data()
-        for i in range(G.order):
+        reps, _, class_of = G._conjugacy_data()
+        for i, t in enumerate(transporters(G)):
             rep = G.element_at(reps[class_of[i]])
-            g = Permutation(transporter[i])
-            assert rep ** g == G.element_at(i)
+            assert rep ** Permutation(t) == G.element_at(i)
 
-    @pytest.mark.parametrize("name", ["S5", "PSL27"])
+    @pytest.mark.parametrize("name", ["S5", "PSL27", "S3xA5"])
     def test_conjugation_tables(self, name):
         G = catalog_group(name)
         elems = G.element_tuples()
@@ -118,6 +117,7 @@ class TestStructure:
         assert len(tables) == len(G.generators)
         for s, t in zip(G._gen_tuples, tables):
             assert t == [G.index_of(_conj(g, s)) for g in elems]
+
 
     def test_derived_series_s4(self):
         assert [H.order for H in catalog_group("S4").derived_series()] == [24, 12, 4, 1]
@@ -147,6 +147,37 @@ class TestStructure:
         G = FiniteGroup(4, [P("(1,2,3,4)", 4), P("(1,2)", 4)])
         N = G.normal_closure([P("(1,2,3)", 4)])
         assert set(vars(N)) == set(vars(FiniteGroup(4, [P("(1,2,3)", 4)])))
+
+
+@pytest.mark.parametrize("name", ["S5", "PSL27", "S3xA5"])
+class TestRegularTables:
+    """Every index map built by gathers equals the tuple products it stands
+    for, element by element."""
+
+    def test_words_multiply_out(self, name):
+        G = catalog_group(name)
+        for x, word in enumerate(G._regular_tables()[2]):
+            t = identity_tuple(G.degree)
+            for k in word:
+                t = mul(t, G._gen_tuples[k])
+            assert t == G.element_tuples()[x]
+
+    def test_inverse_table(self, name):
+        G = catalog_group(name)
+        assert G.inverse_table() == [G.index_of(inv(g)) for g in G.element_tuples()]
+
+    def test_right_and_left_tables(self, name):
+        G = catalog_group(name)
+        elems = G.element_tuples()
+        for x, xt in enumerate(elems):
+            assert G.right_table(x) == [G.index_of(mul(g, xt)) for g in elems]
+            assert G.left_table(x) == [G.index_of(mul(xt, g)) for g in elems]
+
+    def test_conjugation_table(self, name):
+        G = catalog_group(name)
+        elems = G.element_tuples()
+        for c, ct in enumerate(elems):
+            assert G.conjugation_table(c) == [G.index_of(_conj(g, ct)) for g in elems]
 
 
 class TestQuotients:
