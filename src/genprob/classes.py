@@ -11,7 +11,8 @@ constructing the subgroup where a cheap criterion exists:
 * nilpotent: split both elements into prime parts; the pair generates a
   nilpotent group iff parts for distinct primes commute and each same-prime
   pair generates a p-group (checked by closure with the Sylow order of the
-  ambient group as a hard size bound).
+  ambient group as a hard size bound).  Each element's order and parts are
+  worked out once per group and kept in its ``prime_part_cache``.
 * soluble: commuting generators give an abelian group.  Otherwise the pair
   is split into its restrictions to the orbits of <x, y>, and it is soluble
   iff every restriction is.  Each restriction is relabelled onto 0..k-1
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import NotInGroup, UnknownName
-from .group import FiniteGroup, bfs_closure, direct_product
+from .group import FiniteGroup, _conjugation_by, bfs_closure, direct_product
 from .perm import Permutation, identity_tuple, mul, prime_component, tuple_order
 from .util import pi_part, prime_factors
 
@@ -82,15 +83,28 @@ def _abelian_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     return mul(xt, yt) == mul(yt, xt)
 
 
+def _prime_parts(G: FiniteGroup, t: tuple) -> dict[int, tuple]:
+    """The p-part of t for each prime p dividing its order, from the
+    group's ``prime_part_cache``, filled on first use."""
+    parts = G.prime_part_cache.get(t)
+    if parts is None:
+        o = tuple_order(t)
+        parts = G.prime_part_cache[t] = {
+            p: prime_component(t, o, (p,)) for p in prime_factors(o)
+        }
+    return parts
+
+
 def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     if mul(xt, yt) == mul(yt, xt):
         return True
     degree = G.degree
     ident = identity_tuple(degree)
-    xo, yo = tuple_order(xt), tuple_order(yt)
-    primes = sorted(set(prime_factors(xo)) | set(prime_factors(yo)))
-    xparts = {p: prime_component(xt, xo, (p,)) for p in primes}
-    yparts = {p: prime_component(yt, yo, (p,)) for p in primes}
+    xparts, yparts = _prime_parts(G, xt), _prime_parts(G, yt)
+    primes = sorted(xparts.keys() | yparts.keys())
+    # a prime the element's order lacks has the identity as its part
+    xparts = {p: xparts.get(p, ident) for p in primes}
+    yparts = {p: yparts.get(p, ident) for p in primes}
     for p in primes:
         for q in primes:
             if p != q and mul(xparts[p], yparts[q]) != mul(yparts[q], xparts[p]):
@@ -266,9 +280,9 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:
     if C is not SOLUBLE:
         return frozenset(i for i in range(G.order) if pair_in_group(C, G, xt, elems[i]))
     x = G._index[xt]
-    right, left = G.right_table(x), G.left_table(x)
-    maps = [right, left, G.inverse_table(),
-            *map(G.conjugation_table, _centralizer_generators(G, right, left))]
+    right, left, inverse = G.right_table(x), G.left_table(x), G.inverse_table()
+    maps = [right, left, inverse,
+            *(_conjugation_by(inverse, r) for r in _centralizer_tables(G, right, left))]
     seen = bytearray(G.order)
     passing: list[int] = []
     for start in range(G.order):
@@ -295,24 +309,22 @@ def _walk(orbit: list[int], maps: Sequence[list[int]], seen: bytearray) -> list[
     return orbit
 
 
-def _centralizer_generators(G: FiniteGroup, right: list[int], left: list[int]) -> list[int]:
-    """Indices of elements that generate C_G(x) together with x, given
-    x's tables R_x and L_x, taken greedily in enumeration order: g_i
-    commutes with x iff ``left[i] == right[i]``, and joins when the span of
-    x and the earlier ones misses it.  The span grows by a walk over the
-    right tables of its generators from the identity.  Conjugation by x
-    itself is left out, since the two x-translations already give it."""
-    gens: list[int] = []
+def _centralizer_tables(G: FiniteGroup, right: list[int], left: list[int]) -> list[list[int]]:
+    """The right tables R_c of elements c that generate C_G(x) together
+    with x, given x's tables R_x and L_x, taken greedily in enumeration
+    order: g_i commutes with x iff ``left[i] == right[i]``, and joins when
+    the span of x and the earlier ones misses it.  The span grows by a walk
+    over the right tables of its generators from the identity.  Conjugation
+    by x itself is left out, since the two x-translations already give it."""
     maps = [right]
     in_span = bytearray(G.order)
     in_span[0] = 1
     span = _walk([0], maps, in_span)
     for i in range(G.order):
         if not in_span[i] and left[i] == right[i]:
-            gens.append(i)
             maps.append(G.right_table(i))
             _walk(span, maps, in_span)
-    return gens
+    return maps[1:]
 
 
 def pair_by_predicate(C: GroupClass, G: FiniteGroup, x: Permutation, y: Permutation) -> bool:

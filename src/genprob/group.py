@@ -183,9 +183,10 @@ class FiniteGroup:
     """A finite permutation group given by generators.
 
     Generators, chain and order are fixed; the element list, the regular
-    representation tables, class data, pair cache, soluble restriction cache
-    and Omega(x) row store fill in lazily, so do not share a group between
-    threads.  ``elements()`` lists every element, gated by ``cap``.
+    representation tables, class data, pair cache, soluble restriction cache,
+    prime-part table and Omega(x) row store fill in lazily, so do not share
+    a group between threads.  ``elements()`` lists every element, gated by
+    ``cap``.
 
     Once the elements are listed, maps of the group on itself act on element
     indices as tables: ``t[i]`` is the index of the image of g_i.  The
@@ -232,6 +233,8 @@ class FiniteGroup:
         self.row_cache: dict[tuple[str, tuple[int, ...]], ElementSet] = {}
         # soluble pair test: relabelled orbit restriction -> soluble
         self.restriction_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+        # nilpotent pair test: element -> {prime dividing its order: p-part}
+        self.prime_part_cache: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         self._class_data: tuple | None = None
         self._regular: tuple | None = None
         self._conjugation_tables: list[list[int]] | None = None

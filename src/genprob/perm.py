@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import DegreeMismatch, ParseError
@@ -26,6 +27,9 @@ __all__ = [
 
 # Internal arithmetic works on plain image tuples; the Permutation wrapper
 # is the public face.  Hot loops elsewhere in the package use these directly.
+# ``mul`` is the kernel under all of them: one ``itemgetter`` gather does
+# the whole product in C.  Degrees 0 and 1 take a ``map`` instead, since an
+# itemgetter of one index returns a bare item and one of no index is refused.
 
 def identity_tuple(degree: int) -> tuple[int, ...]:
     return tuple(range(degree))
@@ -33,6 +37,8 @@ def identity_tuple(degree: int) -> tuple[int, ...]:
 
 def mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Image tuple of p followed by q."""
+    if len(p) > 1:
+        return itemgetter(*p)(q)
     return tuple(map(q.__getitem__, p))
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genprob.classes as classes
 from genprob import FiniteGroup, Permutation, UnknownName
 from genprob.catalog import load
 from genprob.classes import (
@@ -20,9 +21,11 @@ from genprob.classes import (
     restriction_key,
     test_pair as check_pair,
     _order_forces_soluble,
+    _prime_parts,
 )
 from genprob.errors import NotInGroup
-from genprob.perm import inv, mul
+from genprob.perm import identity_tuple, inv, mul, prime_component, tuple_order
+from genprob.util import pi_part, prime_factors
 
 from conftest import catalog_group
 
@@ -158,6 +161,89 @@ def test_orbit_rows_test_few_pairs():
     for rep, _ in G.conjugacy_classes():
         pair_row(SOLUBLE, G, rep.images)
     assert len(G.pair_cache["soluble"]) < 1000
+
+
+def test_centralizer_right_tables_are_built_once(monkeypatch):
+    """Each centralizer generator's right table drives the span walk and
+    then gives its conjugation table, so a soluble row builds it once: on
+    S7's class representatives that is 54 right tables, where building the
+    conjugation tables afresh took 78, and the rows keep their sizes."""
+    G = load("S7")
+    calls = []
+    right_table = FiniteGroup.right_table
+
+    def counted(self, x):
+        calls.append(x)
+        return right_table(self, x)
+
+    monkeypatch.setattr(FiniteGroup, "right_table", counted)
+    elems = G.element_tuples()
+    reps = G._conjugacy_data()[0]
+    rows = [pair_row(SOLUBLE, G, elems[r]) for r in reps]
+    assert len(calls) == 54
+    assert [len(row) for row in rows] == [
+        5040, 2160, 42, 180, 144, 612, 40, 144, 1200, 40, 720, 1296, 432, 432, 368]
+    # every 97th element, by the uncached fast test
+    for r, row in zip(reps, rows):
+        for i in range(0, G.order, 97):
+            assert (i in row) == SOLUBLE.fast_pair(G, elems[r], elems[i]), (r, i)
+
+
+@pytest.mark.parametrize("name, composite", [("S7", {6, 10, 12}), ("A7", {6})])
+def test_prime_part_table_matches_prime_component(name, composite):
+    """The table holds each element's p-part for every prime p of its
+    order; S7's elements of order 6, 10 and 12, and A7's of order 6, have
+    parts that only a power of the element gives."""
+    G = load(name)
+    orders = set()
+    for t in G.element_tuples():
+        o = tuple_order(t)
+        orders.add(o)
+        parts = _prime_parts(G, t)
+        assert parts == {p: prime_component(t, o, (p,)) for p in prime_factors(o)}
+        # the parts have the prime powers of o as orders, and multiply to t
+        product = identity_tuple(G.degree)
+        for p, part in parts.items():
+            assert tuple_order(part) == pi_part(o, (p,))
+            product = mul(product, part)
+        assert product == t
+    assert len(G.prime_part_cache) == G.order
+    assert composite <= orders
+
+
+def test_second_nilpotent_pass_finds_no_order(monkeypatch):
+    """A second pass of nilpotent rows over A7, with a fresh pair cache,
+    reads every element's prime parts from the table: no order is worked
+    out again."""
+    G = load("A7")
+    elems = G.element_tuples()
+    reps = [elems[r] for r in G._conjugacy_data()[0]]
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return tuple_order(t)
+
+    monkeypatch.setattr(classes, "tuple_order", counted)
+    first = [pair_row(NILPOTENT, G, xt) for xt in reps]
+    assert 0 < len(calls) == len(set(calls)) <= G.order
+    G.pair_cache.clear()
+    del calls[:]
+    assert [pair_row(NILPOTENT, G, xt) for xt in reps] == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["S5", "A6", "S3xA5", "C3xA5"])
+def test_nilpotent_row_matches_predicate_row(name):
+    """Each nilpotent row equals the per-element row of the independent
+    oracle."""
+    G = load(name)
+    elems = G.elements()
+    for rep, _ in G.conjugacy_classes():
+        expected = frozenset(
+            i for i, g in enumerate(elems) if pair_by_predicate(NILPOTENT, G, rep, g)
+        )
+        assert pair_row(NILPOTENT, G, rep.images) == expected, str(rep)
 
 
 def soluble_pair_agrees(G, x, y):

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from genprob import Permutation
+from genprob import FiniteGroup, Permutation
 from genprob.errors import DegreeMismatch, ParseError
 from genprob.perm import identity_tuple, inv, mul
+from genprob.tower import dihedral_tower
 
 
 def perms(degree):
@@ -90,3 +93,34 @@ class TestProperties:
 
     def test_identity_tuple(self):
         assert identity_tuple(4) == (0, 1, 2, 3)
+
+
+class TestMulKernel:
+    """``mul`` gathers with one itemgetter from degree 2 up, and with a map
+    below, where an itemgetter would return a bare item or refuse."""
+
+    @staticmethod
+    def reference(p, q):
+        return tuple(q[i] for i in p)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_small_degrees(self, degree):
+        for p in itertools.permutations(range(degree)):
+            for q in itertools.permutations(range(degree)):
+                product = mul(p, q)
+                assert type(product) is tuple
+                assert product == self.reference(p, q)
+
+    def test_degree_729(self):
+        top = dihedral_tower(3, 6).levels[-1]
+        assert top.degree == 729
+        r, x = (g.images for g in top.generators)
+        for p, q in [(r, x), (x, r), (r, r), (mul(r, x), r), (x, mul(x, r))]:
+            assert mul(p, q) == self.reference(p, q)
+
+    def test_permutation_product_on_degree_one(self):
+        G = FiniteGroup(1, [Permutation.identity(1)])
+        e = G.identity
+        assert (e * e).images == (0,)
+        assert e * e == e and e ** 3 == e
+        assert G.order == 1 and G.elements() == [e]
