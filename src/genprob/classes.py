@@ -160,7 +160,12 @@ def restriction_key(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tupl
     the orbit's start points.  Equal keys mean the same pair of permutations
     up to renaming points."""
     best = _relabel(xt, yt, start)
-    for s in best[1][1:]:
+    points = best[1]
+    # x'[0] is 0 exactly when x fixes the start point, and keys compare x'
+    # first: when x fixes a point of the orbit, only those starts can win
+    for s in [p for p in points if xt[p] == p] or points:
+        if s == start:
+            continue
         other = _relabel(xt, yt, s, best[0][0])
         if other is not None and other[0] < best[0]:
             best = other

@@ -483,6 +483,7 @@ class FiniteGroup:
         membership in the previous term, never a quotient group.
         """
         elems = self.element_tuples()
+        gens = [(inv(g), g) for g in self._gen_tuples]
         current: frozenset[int] = frozenset({0})
         series = [ElementSet(self, current)]
         while True:
@@ -491,8 +492,8 @@ class FiniteGroup:
             for i, t in enumerate(elems):
                 ti = inv(t)
                 ok = True
-                for g in self._gen_tuples:
-                    c = mul(mul(ti, inv(g)), mul(t, g))
+                for gi, g in gens:
+                    c = mul(mul(ti, gi), mul(t, g))
                     if self.index_of(c) not in in_current:
                         ok = False
                         break

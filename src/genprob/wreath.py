@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Sequence
 
 from .errors import GroupError, NotInGroup
@@ -76,6 +77,17 @@ class WreathLevel:
         elems = self.top.element_tuples()
         return {s: tuple(self.top.index_of(mul(x, s)) for x in elems) for s in elems}
 
+    @cached_property
+    def _blocks(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], ...]:
+        """One table per top index x: each bottom element y, by its image
+        tuple, to its block ``d*x + y(p)`` of an element's images."""
+        d = self.bottom.degree
+        bottom = self.bottom.element_tuples()
+        return tuple(
+            {y: tuple(d * x + v for v in y) for y in bottom}
+            for x in range(self.base_length)
+        )
+
     def element(self, base: Sequence[Permutation], s: Permutation) -> "WreathElement":
         """The element (base, s); ``base[x]`` is the coordinate at top index x."""
         if len(base) != self.base_length:
@@ -83,8 +95,13 @@ class WreathLevel:
         shift = self._shifts.get(s.images)
         if shift is None:
             raise NotInGroup(f"{s} is not an element of {self.top!r}")
-        d = self.bottom.degree
-        images = tuple(d * xs + v for y, xs in zip(base, shift) for v in y.images)
+        blocks = self._blocks
+        try:
+            # block x is base[x] placed at the block of x.s
+            images = tuple(chain.from_iterable(
+                [blocks[xs][y.images] for y, xs in zip(base, shift)]))
+        except KeyError:
+            raise NotInGroup(f"a base entry is not an element of {self.bottom!r}") from None
         return WreathElement(images, self)
 
     def identity(self) -> "WreathElement":
@@ -346,6 +363,7 @@ def verify_lemma_mechanism(
     cyclic = {g_top ** k for k in range(g_top.order())}
     top_elems = level.top.elements()
     bottom_elems = level.bottom.elements()
+    beta_conjugates = {u.images: BETA ** u for u in bottom_elems}
 
     sampled_checks = sampled_passed = 0
     containment_checks = containment_passed = 0
@@ -356,8 +374,7 @@ def verify_lemma_mechanism(
             # rho = m*z stays in socle*<g> for any base part m
             containment_checks += 1
             m = level.element(
-                tuple(rng.choice(bottom_elems) for _ in range(level.base_length)),
-                level.top.identity,
+                rng.choices(bottom_elems, k=level.base_length), level.top.identity
             )
             rho = level.multiply(m, level.from_top(z))
             if rho.top in cyclic and rho.base == m.base:
@@ -369,7 +386,7 @@ def verify_lemma_mechanism(
         # conjugated by the base entry there
         h_at_z_inv = projection(level, h, ident_idx_coord * z_inv)
         for _ in range(samples):
-            base = tuple(rng.choice(bottom_elems) for _ in range(level.base_length))
+            base = rng.choices(bottom_elems, k=level.base_length)
             rho = level.element(base, z)
             sampled_checks += 1
             h_rho = level.conjugate(h, rho)
@@ -377,7 +394,7 @@ def verify_lemma_mechanism(
             u = base[witness_coord]
             expected = h_at_z_inv ** u
             generates = u.images in gen_report.generating
-            if p1 == ALPHA and p2 == expected == BETA ** u and generates:
+            if p1 == ALPHA and p2 == expected == beta_conjugates[u.images] and generates:
                 sampled_passed += 1
 
     return MechanismReport(

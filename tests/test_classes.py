@@ -1,4 +1,5 @@
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from genprob.classes import (
     test_pair as check_pair,
     _order_forces_soluble,
     _prime_parts,
+    _relabel,
 )
 from genprob.errors import NotInGroup
 from genprob.perm import identity_tuple, inv, mul, prime_component, tuple_order
@@ -335,6 +337,23 @@ class TestRestrictionKey:
                 other, other_points = restriction_key(xs, ys, sigma[start])
                 self.assert_decodes(xs, ys, sigma[start], other, other_points)
                 assert other == key
+
+    @pytest.mark.parametrize("name", ["PSL27", "S6", "A6", "S7", "C3xA5", "S3xA5"])
+    def test_key_is_the_least_over_all_starts(self, name):
+        # the oracle relabels from every point of the orbit and keeps the
+        # first least key in label order
+        G = catalog_group(name)
+        rng = random.Random(len(name))
+        elems = G.element_tuples()
+        fixed_starts = 0
+        for _ in range(60):
+            xt, yt = rng.choice(elems), rng.choice(elems)
+            for start in range(G.degree):
+                orbit = _relabel(xt, yt, start)[1]
+                least = min((_relabel(xt, yt, s) for s in orbit), key=itemgetter(0))
+                assert restriction_key(xt, yt, start) == least
+                fixed_starts += least[0][0][0] == 0
+        assert fixed_starts
 
 
 @settings(deadline=None, max_examples=60)

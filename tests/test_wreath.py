@@ -7,6 +7,7 @@ from genprob.wreath import (
     ALPHA,
     BETA,
     WreathElement,
+    WreathLevel,
     alt5,
     base_level,
     build_g,
@@ -125,6 +126,31 @@ class TestEncodingOracle:
         with pytest.raises(GroupError):
             level.element(base[:-1], level.top.identity)
 
+    @pytest.mark.parametrize("entry", [P("(1,2,3)", 4), P("(1,2)", 5)])
+    def test_element_rejects_base_entry_outside_bottom(self, level, entry):
+        # a degree-4 entry would shorten the images, an odd one would give
+        # a permutation outside the wreath product
+        base = [level.bottom.identity] * level.base_length
+        base[7] = entry
+        with pytest.raises(NotInGroup):
+            level.element(base, level.top.element_at(3))
+
+    def test_block_assembly_matches_point_formula(self, level):
+        # point d*x + p goes to d*(x.s) + base[x](p), x.s the index of
+        # elements[x] * s
+        rng = random.Random(13)
+        bottom, top = level.bottom.elements(), level.top.elements()
+        d = level.bottom.degree
+        for _ in range(20):
+            base = [rng.choice(bottom) for _ in range(level.base_length)]
+            s = rng.choice(top)
+            expected = [None] * (d * level.base_length)
+            for x, y in enumerate(top):
+                xs = level.top.index_of(y * s)
+                for p in range(d):
+                    expected[d * x + p] = d * xs + base[x].images[p]
+            assert level.element(base, s).images == tuple(expected)
+
 
 class TestConstruction:
     def test_m_pattern(self, level, T):
@@ -197,6 +223,35 @@ class TestVerification:
         assert report.containment_checks == 3
         assert report.h_pattern_ok
         assert (report.order_g, report.order_h) == (45, 15)
+
+    def test_mechanism_fails_on_planted_fault(self, level, T, monkeypatch):
+        # a conjugation that returns w unchanged leaves alpha at the identity
+        # coordinate, so no sampled check may pass
+        monkeypatch.setattr(WreathLevel, "conjugate", lambda self, w, rho: w)
+        report = verify_lemma_mechanism(level, T, samples=3, seed=5)
+        assert report.sampled_checks == 57 * 3
+        assert report.sampled_passed < report.sampled_checks
+        assert not report.all_passed
+
+    def test_seed_fixes_the_drawn_bases(self, level, T, monkeypatch):
+        conjugate = WreathLevel.conjugate
+
+        def drawn(seed):
+            rhos = []
+
+            def recording(self, w, rho):
+                rhos.append(rho.images)
+                return conjugate(self, w, rho)
+
+            with monkeypatch.context() as m:
+                m.setattr(WreathLevel, "conjugate", recording)
+                verify_lemma_mechanism(level, T, samples=2, seed=seed)
+            return rhos
+
+        first = drawn(11)
+        assert len(first) == 57 * 2
+        assert drawn(11) == first
+        assert drawn(12) != first
 
     def test_mechanism_seed_recorded(self, level, T):
         report = verify_lemma_mechanism(level, T, samples=2, seed=77)
