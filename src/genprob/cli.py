@@ -32,12 +32,12 @@ from . import __version__
 from .catalog import list_entries, load
 from .classes import BUILTIN_CLASSES, SOLUBLE, class_by_name, pair_by_predicate, pair_key
 from .errors import GroupError
-from .graphs import build_graph, components_and_diameters
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
 from .perm import Permutation
 from .probability import omega_global, prob_elem, prob_group, verify_identities
-from .tower import dihedral_tower, monotonicity_report, positivity_verdict
-from .wreath import base_level, canonical_transversal, verify_lemma_mechanism
+
+# graphs, tower and wreath are imported inside the subcommands that use
+# them, so a command that does not pays nothing to load them
 
 SOLUBLE_CONNECTED_DIAMETER_BOUND = 5
 NILPOTENT_COMPONENT_DIAMETER_BOUND = 10
@@ -294,10 +294,12 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
 def graph(group_source: str, class_name: str, fmt: str, cap: int,
           workers: int, dot_path: Path | None) -> None:
     """Class graph components, diameters, and the diameter-bound checks."""
+    from .graphs import build_graph, components_and_diameters
+
     G = _load_group(group_source, cap)
     C = class_by_name(class_name)
     g = build_graph(C, G)
-    result = components_and_diameters(g, workers=workers)
+    result = components_and_diameters(g)
 
     bounds = {}
     if not g.is_empty:
@@ -345,6 +347,8 @@ def wreath() -> None:
 @format_option
 def wreath_verify(samples: int, seed: int, fmt: str) -> None:
     """Run the full first-level verification suite."""
+    from .wreath import base_level, canonical_transversal, verify_lemma_mechanism
+
     level, g_top = base_level()
     T = canonical_transversal(level.top, g_top)
     result = verify_lemma_mechanism(level, T, samples=samples, seed=seed)
@@ -368,6 +372,8 @@ def tower() -> None:
 def tower_dihedral(prime: int, levels: int, class_name: str, track: str,
                    cap: int, fmt: str) -> None:
     """Probability sequence along the dihedral tower plus the verdict."""
+    from .tower import dihedral_tower, monotonicity_report, positivity_verdict
+
     C = class_by_name(class_name)
     t = dihedral_tower(prime, levels, cap=cap)
     mono = monotonicity_report(C, t, track)
@@ -405,6 +411,8 @@ def selftest(seed: int, workers: int, fmt: str) -> None:
 
     The same seed yields byte-identical output.
     """
+    from .graphs import build_graph, components_and_diameters
+
     checks = []
     ok = True
     for name in SELFTEST_GROUPS:
@@ -417,7 +425,7 @@ def selftest(seed: int, workers: int, fmt: str) -> None:
         })
         ok = ok and identities.passed
     g = build_graph(SOLUBLE, load("A5"))
-    graph_report = components_and_diameters(g, workers=workers)
+    graph_report = components_and_diameters(g)
     graph_ok = (graph_report.connected
                 and graph_report.max_diameter <= SOLUBLE_CONNECTED_DIAMETER_BOUND)
     ok = ok and graph_ok

@@ -1,17 +1,26 @@
 """Class graphs: vertices are elements outside the global omega set, edges
 join distinct elements generating a class subgroup.
 
-Conjugation acts by graph automorphisms.  So an adjacency row is computed
-once per conjugacy class, at its representative, and moves to the rest of the
-class by the conjugation tables (``FiniteGroup.conjugation_tables``): along
-the class breadth-first search, one table lookup per row member.  Likewise
-eccentricities are computed by BFS from class representatives only; the
-maximum over representatives is the true diameter.
+Each vertex's adjacency row is one Python int, its bitset: bit w is set when
+w is adjacent.  Conjugation acts by graph automorphisms.  So a row is
+computed once per conjugacy class, at its representative, and moves to the
+rest of the class by the conjugation tables (``FiniteGroup.conjugation_tables``):
+along the class breadth-first search, one table lookup per row member.  A
+row's member list lives only until the rows of its class neighbours have
+been moved from it, so the built graph holds the bitsets alone.
+
+A breadth-first search takes one level per step: the next level is the OR of
+the rows over the frontier, less the vertices seen.  Eccentricities are
+searched from class representatives only; the maximum over representatives
+is the true diameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 # pair_in_group is not called here; the benchmark's tracer tests check that
 # this import site of it gets wrapped, so the name stays bound
@@ -27,27 +36,62 @@ __all__ = [
     "quotient_graph_compatibility",
 ]
 
+# binary digits of ``bin(row)`` to bytes that are false for 0, true for 1
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(row: int) -> list[int]:
+    """The set bits of ``row``, ascending."""
+    if row.bit_count() * 32 < row.bit_length():
+        # sparse: strip the top bit, one per set bit, rather than scan
+        # every digit
+        bits = []
+        while row:
+            top = row.bit_length() - 1
+            bits.append(top)
+            row ^= 1 << top
+        bits.reverse()
+        return bits
+    flags = bin(row)[:1:-1].encode().translate(_DIGIT_BITS)
+    return list(compress(range(len(flags)), flags))
+
+
+def _bitset(members, width: int) -> int:
+    """The int with bit m set for each m in ``members``, all below ``width``."""
+    if len(members) * 48 < width:
+        # sparse: a byte per 8 bits, set member by member, rather than
+        # parse a digit string of the full width
+        packed = bytearray((width + 7) >> 3)
+        for m in members:
+            packed[m >> 3] |= 1 << (m & 7)
+        return int.from_bytes(packed, "little")
+    digits = bytearray(b"0") * width
+    for m in members:
+        digits[m] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
+
 
 @dataclass
 class ClassGraph:
     group: FiniteGroup
     class_name: str
     vertices: ElementSet
-    # vertex -> sorted neighbor list
-    _adjacency: dict[int, list[int]]
+    # rows[v]: bit w set when w is adjacent to v; 0 for a non-vertex
+    rows: list[int]
 
     @property
     def is_empty(self) -> bool:
         return not self.vertices.members
 
     def neighbors(self, v: int) -> list[int]:
-        return self._adjacency[v]
+        return _bits(self.rows[v])
 
     def adjacent(self, v: int, w: int) -> bool:
-        return v != w and w in self._adjacency[v]
+        return bool(self.rows[v] >> w & 1)
 
     def edge_count(self) -> int:
-        return sum(len(self.neighbors(v)) for v in self.vertices.members) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def to_dot(self) -> str:
         """DOT edge dump; only sensible for small graphs (flag-gated in the CLI)."""
@@ -67,23 +111,30 @@ def build_graph(C: GroupClass, G: FiniteGroup) -> ClassGraph:
     an error).
     """
     core = omega_global(C, G)
-    vertex_set = frozenset(range(G.order)) - core.members
+    n = G.order
+    vertex_set = frozenset(range(n)) - core.members
     reps, _, class_of = G._conjugacy_data()
     tables = G.conjugation_tables()
-    adjacency: dict[int, list[int]] = {}
+    rows = [0] * n
     for r in sorted({reps[class_of[v]] for v in vertex_set}):
         row = omega(C, G, G.element_at(r)).members
-        adjacency[r] = sorted((row & vertex_set) - {r})
+        # member lists of the rows whose class neighbours are not yet moved
+        pending = {r: list((row & vertex_set) - {r})}
+        rows[r] = _bitset(pending[r], n)
         # conjugation by a generator is a graph automorphism, so the row of
         # t[i] is the row of i moved by t
         orbit = [r]
+        placed = {r}
         for i in orbit:
+            members = pending.pop(i)
             for t in tables:
                 j = t[i]
-                if j not in adjacency:
-                    adjacency[j] = sorted([t[m] for m in adjacency[i]])
+                if j not in placed:
+                    placed.add(j)
+                    pending[j] = moved = list(map(t.__getitem__, members))
+                    rows[j] = _bitset(moved, n)
                     orbit.append(j)
-    return ClassGraph(G, C.name, ElementSet(G, vertex_set), adjacency)
+    return ClassGraph(G, C.name, ElementSet(G, vertex_set), rows)
 
 
 @dataclass
@@ -106,27 +157,28 @@ class GraphReport:
         }
 
 
-def _bfs_distances(graph: ClassGraph, source: int) -> dict[int, int]:
-    dist = {source: 0}
-    order = [source]
-    for v in order:
-        for w in graph.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                order.append(w)
-    return dist
+def _search(graph: ClassGraph, source: int) -> tuple[int, int]:
+    """(bitset of the component of ``source``, eccentricity of ``source``):
+    a breadth-first search, one level per step."""
+    rows = graph.rows
+    seen = frontier = 1 << source
+    depth = 0
+    while True:
+        frontier = reduce(or_, map(rows.__getitem__, _bits(frontier))) & ~seen
+        if not frontier:
+            return seen, depth
+        seen |= frontier
+        depth += 1
 
 
-def components_and_diameters(graph: ClassGraph, workers: int = 1) -> GraphReport:
+def components_and_diameters(graph: ClassGraph) -> GraphReport:
     """Connected components and per-component diameters.
 
-    Per-vertex eccentricity equals that of its class representative, so BFS
-    runs from representatives only; a component's diameter is the maximum of
-    those eccentricities over its vertices; a component search that starts
-    at a representative is not repeated for its eccentricity.  Singleton
-    components have diameter 0.  ``workers`` is accepted for compatibility;
-    the BFS runs serially, so it changes neither the report nor the work
-    done.
+    Per-vertex eccentricity equals that of its class representative, so the
+    search runs from representatives only; a component's diameter is the
+    maximum of those eccentricities over its vertices; a component search
+    that starts at a representative is not repeated for its eccentricity.
+    Singleton components have diameter 0.
     """
     G = graph.group
     label = G.name or f"group(order={G.order})"
@@ -137,28 +189,25 @@ def components_and_diameters(graph: ClassGraph, workers: int = 1) -> GraphReport
 
     vertex_set = graph.vertices.members
     reps, _, class_of = G._conjugacy_data()
-    component_of: dict[int, int] = {}
+    unplaced = _bitset(vertex_set, G.order)
     component_members: list[list[int]] = []
     eccentricities: dict[int, int] = {}
-    for v in sorted(vertex_set):
-        if v in component_of:
-            continue
-        comp_id = len(component_members)
-        dist = _bfs_distances(graph, v)
-        members = sorted(dist)
-        for w in members:
-            component_of[w] = comp_id
-        component_members.append(members)
+    while unplaced:
+        # the least vertex left, so each component is labelled by its least
+        v = (unplaced & -unplaced).bit_length() - 1
+        reached, eccentricity = _search(graph, v)
+        unplaced &= ~reached
+        component_members.append(_bits(reached))
         if reps[class_of[v]] == v:
-            eccentricities[v] = max(dist.values())
+            eccentricities[v] = eccentricity
 
     # representatives of vertex classes are themselves vertices: the vertex
     # set is closed under conjugation
     for r in sorted({reps[class_of[v]] for v in vertex_set}):
         if r not in eccentricities:
-            eccentricities[r] = max(_bfs_distances(graph, r).values())
+            eccentricities[r] = _search(graph, r)[1]
 
-    for comp_id, members in enumerate(component_members):
+    for members in component_members:
         diameter = (
             0
             if len(members) == 1

@@ -90,7 +90,8 @@ class _Level:
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[tuple[int, ...]] = []
-        # orbit[x] = transversal perm u with u(point) = x
+        # orbit[x] = u^-1 for the transversal perm u with u(point) = x,
+        # stored inverted since sifting multiplies by the inverse
         self.orbit: dict[int, tuple[int, ...]] = {point: identity_tuple(degree)}
 
 
@@ -100,6 +101,8 @@ class StabilizerChain:
     def __init__(self, degree: int, gens: Iterable[tuple[int, ...]]):
         self.degree = degree
         self.levels: list[_Level] = []
+        # per level, x -> u itself; built by coset_key, dropped on growth
+        self._forward: list[dict[int, tuple[int, ...]]] | None = None
         ident = identity_tuple(degree)
         for g in gens:
             if g != ident:
@@ -113,10 +116,10 @@ class StabilizerChain:
         for i in range(start, len(self.levels)):
             lv = self.levels[i]
             img = p[lv.point]
-            u = lv.orbit.get(img)
-            if u is None:
+            u_inv = lv.orbit.get(img)
+            if u_inv is None:
                 return p, i
-            p = mul(p, inv(u))
+            p = mul(p, u_inv)
         return p, len(self.levels)
 
     def contains(self, p: tuple[int, ...]) -> bool:
@@ -127,9 +130,13 @@ class StabilizerChain:
         """The element of the right coset N·t with the least base images,
         N the group of this chain; two elements share a key iff they share
         a coset.  Level by level it moves the orbit point with the least
-        image under t onto the base point."""
-        for lv in self.levels:
-            t = mul(lv.orbit[min(lv.orbit, key=t.__getitem__)], t)
+        image under t onto the base point.  It needs each u itself, so the
+        first call inverts the transversals once and keeps them."""
+        if self._forward is None:
+            self._forward = [{x: inv(u_inv) for x, u_inv in lv.orbit.items()}
+                             for lv in self.levels]
+        for lv, forward in zip(self.levels, self._forward):
+            t = mul(forward[min(lv.orbit, key=t.__getitem__)], t)
         return t
 
     def _insert(self, p: tuple[int, ...], first: int, last: int) -> None:
@@ -140,6 +147,7 @@ class StabilizerChain:
         skipping the intermediate levels breaks the subgroup-chain invariant
         the order computation relies on.
         """
+        self._forward = None
         for k in range(first, last + 1):
             if k == len(self.levels):
                 point = next(i for i in range(self.degree) if p[i] != i)
@@ -151,23 +159,25 @@ class StabilizerChain:
             self._close_level(k)
 
     def _recompute_orbit(self, lv: _Level) -> None:
+        # the transversal of y = g[x] is u g, stored as g^-1 u^-1
+        gens = [(g, inv(g)) for g in lv.gens]
         lv.orbit = {lv.point: identity_tuple(self.degree)}
         points = [lv.point]
         for x in points:
-            u = lv.orbit[x]
-            for g in lv.gens:
+            u_inv = lv.orbit[x]
+            for g, g_inv in gens:
                 y = g[x]
                 if y not in lv.orbit:
-                    lv.orbit[y] = mul(u, g)
+                    lv.orbit[y] = mul(g_inv, u_inv)
                     points.append(y)
 
     def _close_level(self, level: int) -> None:
         lv = self.levels[level]
         ident = identity_tuple(self.degree)
         for x in list(lv.orbit):
-            u = lv.orbit[x]
+            u = inv(lv.orbit[x])
             for g in lv.gens:
-                schreier = mul(mul(u, g), inv(lv.orbit[g[x]]))
+                schreier = mul(mul(u, g), lv.orbit[g[x]])
                 if schreier == ident:
                     continue
                 residue, j = self.sift(schreier, level + 1)
@@ -614,16 +624,6 @@ class ElementSet:
 
     def perms(self) -> list[Permutation]:
         return [self.group.element_at(i) for i in sorted(self.members)]
-
-    def conjugate(self, g: Permutation) -> "ElementSet":
-        elems = self.group.element_tuples()
-        index_of = self.group.index_of
-        gt = g.images
-        gi = inv(gt)
-        return ElementSet(
-            self.group,
-            frozenset(index_of(mul(mul(gi, elems[i]), gt)) for i in self.members),
-        )
 
     def as_subgroup(self, name: str | None = None) -> FiniteGroup:
         return self.group.subgroup(self.perms(), name=name)

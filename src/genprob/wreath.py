@@ -364,6 +364,9 @@ def verify_lemma_mechanism(
     top_elems = level.top.elements()
     bottom_elems = level.bottom.elements()
     beta_conjugates = {u.images: BETA ** u for u in bottom_elems}
+    # h_at_z_inv ** u by u, one table per value of h_at_z_inv: it takes few
+    # values, so a table serves many z
+    powers_of = {}
 
     sampled_checks = sampled_passed = 0
     containment_checks = containment_passed = 0
@@ -385,6 +388,7 @@ def verify_lemma_mechanism(
         # the conjugate's coordinate at 1 is the coordinate of h at z^-1,
         # conjugated by the base entry there
         h_at_z_inv = projection(level, h, ident_idx_coord * z_inv)
+        powers = powers_of.setdefault(h_at_z_inv.images, {})
         for _ in range(samples):
             base = rng.choices(bottom_elems, k=level.base_length)
             rho = level.element(base, z)
@@ -392,7 +396,9 @@ def verify_lemma_mechanism(
             h_rho = level.conjugate(h, rho)
             p2 = projection(level, h_rho, ident_idx_coord)
             u = base[witness_coord]
-            expected = h_at_z_inv ** u
+            expected = powers.get(u.images)
+            if expected is None:
+                expected = powers[u.images] = h_at_z_inv ** u
             generates = u.images in gen_report.generating
             if p1 == ALPHA and p2 == expected == beta_conjugates[u.images] and generates:
                 sampled_passed += 1

@@ -43,6 +43,30 @@ def transporters(G):
     return [found[i] for i in range(G.order)]
 
 
+def conjugate_members(G, members, g):
+    """Indices of the conjugates c^-1 m c of the members m, c the image
+    tuple ``g``, formed as tuple products: the oracle that row transport by
+    conjugation tables is checked against."""
+    from genprob.perm import inv, mul
+
+    elems = G.element_tuples()
+    g_inv = inv(g)
+    return frozenset(G.index_of(mul(mul(g_inv, elems[i]), g)) for i in members)
+
+
+def list_bfs(adjacency, source):
+    """Distance from ``source`` to each vertex it reaches, by a
+    breadth-first search over neighbour lists."""
+    dist = {source: 0}
+    order = [source]
+    for v in order:
+        for w in adjacency[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return dist
+
+
 @pytest.fixture(scope="session")
 def group_of():
     return catalog_group

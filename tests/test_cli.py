@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -456,6 +460,20 @@ class TestCatalogListAndSelftest:
         assert report["seed"] == 5
         assert report["version"] == __version__
         assert report["passed"] is True
+
+
+def test_cli_import_leaves_graphs_tower_and_wreath_unloaded():
+    # each is imported by the subcommands that use it, so analyze never
+    # loads them
+    src = str(Path(genprob.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, genprob.cli; print(sorted(m for m in "
+            "('genprob.graphs', 'genprob.tower', 'genprob.wreath') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 class TestEnvOverrides:

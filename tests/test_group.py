@@ -16,11 +16,11 @@ from genprob import (
     parse_group_spec,
 )
 from genprob.catalog import load
-from genprob.group import _conj, format_group_spec
+from genprob.group import StabilizerChain, _conj, bfs_closure, format_group_spec
 from genprob.perm import identity_tuple, inv, mul
 from genprob.probability import soluble_radical
 
-from conftest import catalog_group, catalog_names, transporters
+from conftest import catalog_group, catalog_names, conjugate_members, transporters
 
 P = Permutation.parse
 
@@ -243,6 +243,112 @@ class TestQuotients:
                 assert (ks == kt) == N.chain.contains(mul(s, inv(t)))
 
 
+def chain_group(name):
+    if name == "D486":
+        # a degree-243 level of the dihedral tower, order 486
+        from genprob.tower import dihedral_tower
+
+        return dihedral_tower(3, 5).levels[-1]
+    return catalog_group(name)
+
+
+@pytest.mark.parametrize("name", ["S5", "PSL27", "S3xA5", "D486"])
+class TestStabilizerChain:
+    """The chain stores each transversal inverted: ``orbit[x]`` maps x to
+    the level's base point."""
+
+    def test_sift_and_contains_invert_nothing(self, name, monkeypatch):
+        import genprob.group
+
+        G = chain_group(name)
+        chain = G.chain
+        inverses = []
+        invert = genprob.group.inv
+
+        def counted(p):
+            inverses.append(p)
+            return invert(p)
+
+        monkeypatch.setattr(genprob.group, "inv", counted)
+        rng = random.Random(0)
+        ident = identity_tuple(G.degree)
+        for _ in range(50):
+            p = tuple(rng.sample(range(G.degree), G.degree))
+            chain.sift(p)
+            chain.contains(p)
+        for t in G.element_tuples()[:50]:
+            assert chain.sift(t) == (ident, len(chain.levels))
+            assert chain.contains(t)
+        assert inverses == []
+
+    def test_stored_transversals_map_to_the_base_point(self, name):
+        for lv in chain_group(name).chain.levels:
+            assert all(u_inv[x] == lv.point for x, u_inv in lv.orbit.items())
+
+    def test_order_and_membership_match_closure(self, name):
+        G = chain_group(name)
+        closure = bfs_closure(G._gen_tuples, G.degree, 10**6)
+        assert G.chain.order() == G.order == len(closure)
+        assert all(G.chain.contains(t) for t in closure)
+        members = set(closure)
+        rng = random.Random(1)
+        for _ in range(200):
+            p = tuple(rng.sample(range(G.degree), G.degree))
+            assert G.chain.contains(p) == (p in members)
+
+
+def least_base_image_key(N, t):
+    """The element of the right coset N·t with the least base images, by
+    search over N's elements."""
+    base = [lv.point for lv in N.chain.levels]
+    return min((mul(n, t) for n in N.element_tuples()),
+               key=lambda e: [e[b] for b in base])
+
+
+def test_quotient_of_c3xa5_matches_least_base_image_cosets():
+    # cosets found in generator order and named by the coset search's key
+    G = catalog_group("C3xA5")
+    R = soluble_radical(G).as_subgroup(name="R")
+    Q, project = G.quotient(R)
+    reps = [identity_tuple(G.degree)]
+    coset_of = {least_base_image_key(R, reps[0]): 0}
+    for rep in reps:
+        for g in G._gen_tuples:
+            t = mul(rep, g)
+            k = least_base_image_key(R, t)
+            if k not in coset_of:
+                coset_of[k] = len(reps)
+                reps.append(t)
+    assert Q.order == len(reps) == 60
+    for t in G.element_tuples():
+        assert R.chain.coset_key(t) == least_base_image_key(R, t)
+        assert project(Permutation(t)).images == tuple(
+            coset_of[least_base_image_key(R, mul(rep, t))] for rep in reps)
+
+
+def test_coset_key_follows_chain_growth():
+    # coset_key keeps the transversals it inverts; a chain grown after a
+    # key was taken (as normal closures grow theirs) must key by the
+    # grown group
+    G = catalog_group("S5")
+    c3 = P("(1,2,3)", 5).images
+    chain = StabilizerChain(G.degree, [c3])
+
+    def least(members, t):
+        return min((mul(n, t) for n in members),
+                   key=lambda e: [e[lv.point] for lv in chain.levels])
+
+    t = P("(1,4)(2,5)", 5).images
+    assert chain.coset_key(t) == least(bfs_closure([c3], 5, 10), t)
+    A5 = G.normal_closure([Permutation(c3)])
+    for g in A5._gen_tuples:
+        if not chain.contains(g):
+            chain._insert(g, 0, 0)
+    assert chain.order() == 60
+    for t in G.element_tuples():
+        assert chain.coset_key(t) == least(A5.element_tuples(), t)
+
+
 class TestElementSet:
     def test_coset_partition(self):
         S4 = catalog_group("S4")
@@ -252,9 +358,10 @@ class TestElementSet:
         assert frozenset().union(*(p.members for p in parts)) == frozenset(range(24))
 
     def test_conjugate(self):
+        # the tests' row-transport oracle
         S4 = catalog_group("S4")
-        X = ElementSet(S4, frozenset({S4.index_of(P("(1,2)", 4))}))
-        Y = X.conjugate(P("(1,3)", 4))
+        X = frozenset({S4.index_of(P("(1,2)", 4))})
+        Y = ElementSet(S4, conjugate_members(S4, X, P("(1,3)", 4).images))
         assert Y.perms() == [P("(2,3)", 4)]
 
     def test_as_subgroup(self):
