@@ -12,7 +12,11 @@ constructing the subgroup where a cheap criterion exists:
   nilpotent group iff parts for distinct primes commute and each same-prime
   pair generates a p-group (checked by closure with the Sylow order of the
   ambient group as a hard size bound).  Each element's order and parts are
-  worked out once per group and kept in its ``prime_part_cache``.
+  worked out once per group and kept in its ``prime_part_cache``; a call
+  reads them and the group's identity and builds no table of its own.  The
+  commute checks run over the sorted union of both elements' primes,
+  identity parts included, in a fixed order, since the benchmark pins the
+  product count of the dihedral tower.
 * soluble: commuting generators give an abelian group.  Otherwise the pair
   is split into its restrictions to the orbits of <x, y>, and it is soluble
   iff every restriction is.  Each restriction is relabelled onto 0..k-1
@@ -44,7 +48,7 @@ from typing import Callable, Sequence
 
 from .errors import NotInGroup, UnknownName
 from .group import FiniteGroup, _conjugation_by, bfs_closure, direct_product
-from .perm import Permutation, identity_tuple, mul, prime_component, tuple_order
+from .perm import Permutation, mul, prime_component, tuple_order
 from .util import pi_part, prime_factors
 
 __all__ = [
@@ -98,23 +102,26 @@ def _prime_parts(G: FiniteGroup, t: tuple) -> dict[int, tuple]:
 def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     if mul(xt, yt) == mul(yt, xt):
         return True
-    degree = G.degree
-    ident = identity_tuple(degree)
+    ident = G.identity.images
     xparts, yparts = _prime_parts(G, xt), _prime_parts(G, yt)
     primes = sorted(xparts.keys() | yparts.keys())
-    # a prime the element's order lacks has the identity as its part
-    xparts = {p: xparts.get(p, ident) for p in primes}
-    yparts = {p: yparts.get(p, ident) for p in primes}
+    # a prime the element's order lacks has the identity as its part; the
+    # identity parts stay in the commute checks, whose product count the
+    # benchmark pins
     for p in primes:
+        a = xparts.get(p, ident)
         for q in primes:
-            if p != q and mul(xparts[p], yparts[q]) != mul(yparts[q], xparts[p]):
-                return False
+            if p != q:
+                b = yparts.get(q, ident)
+                if mul(a, b) != mul(b, a):
+                    return False
     for p in primes:
-        a, b = xparts[p], yparts[p]
-        gens = [t for t in (a, b) if t != ident]
-        if len(gens) < 2:
+        # a part that is present is not the identity, so a missing one
+        # leaves <a, b> cyclic
+        a, b = xparts.get(p), yparts.get(p)
+        if a is None or b is None:
             continue
-        span = bfs_closure(gens, degree, limit=pi_part(G.order, (p,)))
+        span = bfs_closure((a, b), G.degree, limit=pi_part(G.order, (p,)))
         if span is None or pi_part(len(span), (p,)) != len(span):
             return False
     return True
@@ -246,7 +253,9 @@ def pair_in_group(C: GroupClass, G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     # a subgroup-closed class containing G contains every <x, y>
     if C.predicate(G):
         return True
-    cache = G.pair_cache.setdefault(C.name, {})
+    cache = G.pair_cache.get(C.name)
+    if cache is None:
+        cache = G.pair_cache[C.name] = {}
     key = pair_key(xt, yt)
     hit = cache.get(key)
     if hit is not None:

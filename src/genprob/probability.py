@@ -5,8 +5,10 @@ All probabilities are exact rationals (uniform counting measure on a finite
 group); no floating point enters any computation here.  The default method
 for whole-group probabilities above order 360 is class reduction
 (conjugation equivariance of the pair test lets one element of each
-conjugacy class stand in for the class); the exhaustive double loop is the
-independent oracle below that size.
+conjugacy class stand in for the class); the exhaustive count is the
+independent oracle below that size.  It tests each unordered pair of X x Y
+once, since <x, y> = <y, x>, and counts a pair of distinct elements of
+X & Y for both orders.
 
 Omega(x) rows use the elementwise analogue: membership of g in a soluble
 Omega(x) is constant on the orbits of g -> xg, g -> gx, g -> g^-1 and
@@ -15,9 +17,10 @@ orbit.  ``omega`` keeps each row in ``G.row_cache``, the row store keyed by
 class name and the image tuple of x, so a row is computed once per group.
 Since <x, g> = <g, x>, g lies in Omega(G) iff Omega(g) = G: Omega(G) is the
 union of the classes whose representative pairs with every element.  The
-exhaustive double loop, ``omega_global(class_reduced=False)`` and
-``classes.pair_by_predicate`` stay one test per pair: they are the oracles
-the reduced routes are checked against.
+exhaustive count, ``omega_global(class_reduced=False)`` and
+``classes.pair_by_predicate`` take the pairs one by one, with no orbit or
+class reduction: they are the oracles the reduced routes are checked
+against.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
     "CLASS_REDUCTION_THRESHOLD",
 ]
 
-# exhaustive double loops stay the default oracle up to this order
+# the exhaustive pair count stays the default up to this order
 CLASS_REDUCTION_THRESHOLD = 360
 
 
@@ -100,18 +103,33 @@ def prob_sets(
 ) -> ProbabilityReport:
     """Probability that random x in X and y in Y generate a class subgroup.
 
-    Empty X or Y is an error: the ratio presupposes both sets have positive
-    measure.
+    Each unordered pair is tested once, since <x, y> = <y, x>: a pair of
+    distinct elements of X & Y counts twice, the pair (x, x) once, and a
+    pair with an end outside X & Y once.  Empty X or Y is an error: the
+    ratio presupposes both sets have positive measure.  X and Y must be
+    sets of G's canonical enumeration, which its degree and generator
+    tuples fix.
     """
+    for S in (X, Y):
+        if (S.group.degree, S.group._gen_tuples) != (G.degree, G._gen_tuples):
+            raise NotInGroup(f"prob_sets: a set of {S.group!r} is not a set of {G!r}")
     if not X.members or not Y.members:
         raise EmptySet("prob_sets requires nonempty X and Y")
     elems = G.element_tuples()
-    favorable = sum(
-        1
-        for i in X.members
-        for j in Y.members
-        if pair_in_group(C, G, elems[i], elems[j])
-    )
+    both = sorted(X.members & Y.members)
+    favorable = 0
+    for k, i in enumerate(both):
+        xt = elems[i]
+        favorable += pair_in_group(C, G, xt, xt)
+        for j in both[k + 1:]:
+            if pair_in_group(C, G, xt, elems[j]):
+                favorable += 2
+    only_y = Y.members.difference(both)
+    for i in X.members:
+        xt = elems[i]
+        for j in (only_y if i in Y.members else Y.members):
+            if pair_in_group(C, G, xt, elems[j]):
+                favorable += 1
     return ProbabilityReport(
         _group_label(G), C.name, favorable, len(X) * len(Y), "exhaustive"
     )

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from operator import itemgetter
 
 import pytest
@@ -21,12 +22,14 @@ from genprob.classes import (
     pair_row,
     restriction_key,
     test_pair as check_pair,
+    _nilpotent_pair,
     _order_forces_soluble,
     _prime_parts,
     _relabel,
 )
 from genprob.errors import NotInGroup
 from genprob.perm import identity_tuple, inv, mul, prime_component, tuple_order
+from genprob.tower import dihedral_tower
 from genprob.util import pi_part, prime_factors
 
 from conftest import catalog_group
@@ -233,6 +236,20 @@ def test_second_nilpotent_pass_finds_no_order(monkeypatch):
     del calls[:]
     assert [pair_row(NILPOTENT, G, xt) for xt in reps] == first
     assert calls == []
+
+
+def test_nilpotent_pair_products_on_the_dihedral_tower(mul_calls):
+    """The benchmark pins the tuple products of `tower dihedral 3 6`, so
+    the nilpotent test keeps its order of products: cross-prime commute
+    checks over the sorted union of primes, identity parts included, then
+    one closure per prime both elements involve.  Over every unordered
+    pair of D54, the top level of dihedral_tower(3, 3), that is 5 620
+    products, and 378 of the 1 431 pairs generate a nilpotent group."""
+    G = dihedral_tower(3, 3).levels[-1]
+    elems = G.element_tuples()
+    del mul_calls[:]
+    passing = sum(_nilpotent_pair(G, a, b) for a, b in combinations(elems, 2))
+    assert (G.order, len(mul_calls), passing) == (54, 5620, 378)
 
 
 @pytest.mark.parametrize("name", ["S5", "A6", "S3xA5", "C3xA5"])

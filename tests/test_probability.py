@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,14 @@ import pytest
 
 from genprob import ElementSet, EmptySet, Permutation
 from genprob.catalog import load
-from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE, GroupClass
+from genprob.classes import (
+    ABELIAN,
+    NILPOTENT,
+    SOLUBLE,
+    GroupClass,
+    pair_by_predicate,
+    pair_key,
+)
 from genprob.errors import NotInGroup
 from genprob.probability import (
     averaging_identity_check,
@@ -103,6 +111,71 @@ class TestProbSets:
         assert prob_sets(klass, G, full, full).favorable == prob_group(
             klass, G, method="class-reduced"
         ).favorable
+
+
+def set_pairs(G, seed):
+    """Equal, overlapping, nested and disjoint pairs of random sets."""
+    rng = random.Random(seed)
+    idx = list(range(G.order))
+    rng.shuffle(idx)
+    a, b, c = len(idx) // 4, len(idx) // 2, 3 * len(idx) // 4
+    X = ElementSet(G, frozenset(idx[:b]))
+    return {
+        "equal": (X, X),
+        "overlapping": (X, ElementSet(G, frozenset(idx[a:c]))),
+        "nested": (ElementSet(G, frozenset(idx[a:b])), X),
+        "disjoint": (X, ElementSet(G, frozenset(idx[b:c]))),
+    }
+
+
+class TestUnorderedPairs:
+    @pytest.mark.parametrize("name", ["S4", "A5"])
+    @pytest.mark.parametrize("klass", [ABELIAN, NILPOTENT, SOLUBLE], ids=lambda c: c.name)
+    def test_matches_ordered_predicate_loop(self, name, klass):
+        G = load(name)
+        elems = G.elements()
+
+        # the predicate route, once per ordered pair of indices
+        @functools.cache
+        def verdict(i, j):
+            return pair_by_predicate(klass, G, elems[i], elems[j])
+
+        for seed in range(2):
+            for kind, (X, Y) in set_pairs(G, seed).items():
+                for A, B in ((X, Y), (Y, X)):
+                    report = prob_sets(klass, G, A, B)
+                    assert report.total == len(A) * len(B)
+                    assert report.favorable == sum(
+                        verdict(i, j) for i in A.members for j in B.members), (kind, seed)
+
+    @pytest.mark.parametrize("klass", [ABELIAN, NILPOTENT, SOLUBLE], ids=lambda c: c.name)
+    def test_exhaustive_a5_tests_each_unordered_pair_once(self, klass, monkeypatch):
+        import genprob.probability as probability
+
+        calls = []
+        pair_in_group = probability.pair_in_group
+
+        def counted(C, G, xt, yt):
+            calls.append(pair_key(xt, yt))
+            return pair_in_group(C, G, xt, yt)
+
+        monkeypatch.setattr(probability, "pair_in_group", counted)
+        prob_group(klass, load("A5"), method="exhaustive")
+        assert len(calls) == len(set(calls)) == 60 * 61 // 2
+
+    def test_sets_of_another_group_are_refused(self):
+        S3, S4 = catalog_group("S3"), catalog_group("S4")
+        full = ElementSet(S3, frozenset(range(S3.order)))
+        with pytest.raises(NotInGroup):
+            prob_sets(NILPOTENT, S4, full, ElementSet(S4, frozenset({0})))
+        with pytest.raises(NotInGroup):
+            prob_sets(NILPOTENT, S4, ElementSet(S4, frozenset({0})), full)
+        # the same degree and generators give the same enumeration
+        twin = load("S4")
+        assert twin is not S4
+        everything = ElementSet(twin, frozenset(range(24)))
+        assert prob_sets(NILPOTENT, S4, everything, everything) == prob_group(
+            NILPOTENT, S4, method="exhaustive")
 
 
 class TestGlobalOmega:
