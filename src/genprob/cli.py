@@ -4,8 +4,9 @@ wreath verification, and towers.
 Every report embeds the tool version, the run configuration, and the seed;
 probabilities are exact rationals rendered as {num, den}.  Output is
 deterministic: the same config and seed produce byte-identical JSON.  The
-``--workers`` value changes neither the output nor the work, and is left out
-of the config echo.
+``--workers`` value and the ``analyze --cache`` path are accepted for
+compatibility: they change neither the output nor the work, no file is read
+or written for ``--cache``, and neither is in the config echo.
 
 Every subcommand ends in ``_finish``, which records whether the checks the
 run asserted hold as the report's ``passed`` field, prints the report, and
@@ -19,8 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,10 +29,9 @@ import click
 
 from . import __version__
 from .catalog import list_entries, load
-from .classes import BUILTIN_CLASSES, SOLUBLE, class_by_name, pair_by_predicate, pair_key
+from .classes import BUILTIN_CLASSES, SOLUBLE, class_by_name
 from .errors import GroupError
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
-from .perm import Permutation
 from .probability import omega_global, prob_elem, prob_group, verify_identities
 
 # graphs, tower and wreath are imported inside the subcommands that use
@@ -57,7 +55,7 @@ format_option = click.option(
 class_option = click.option(
     "--class", "class_name", required=True, type=click.Choice(sorted(BUILTIN_CLASSES)))
 workers_option = click.option(
-    "--workers", type=int, default=1,
+    "--workers", type=int, default=1, expose_value=False,
     help="Accepted for compatibility; changes neither the output nor the work.")
 
 
@@ -147,85 +145,6 @@ def _envelope(command: str, config: dict, seed: int | None = None) -> dict:
     return report
 
 
-CACHE_KEYS = ("group", "class", "pair", "result")
-# written in every record with the genprob version; records without it are
-# read as this format, as the files of earlier versions have none
-CACHE_FORMAT = 1
-# loaded records re-checked by the independent pair oracle, evenly spaced
-CACHE_RECHECKS = 8
-
-
-def _load_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
-    """Read the records of ``path`` for this group and class into the pair
-    cache.  A record's ``format``, where it has one, must be
-    ``CACHE_FORMAT``.  One record can decide a whole orbit of a soluble
-    Omega(x) row, so every pair must lie in G, a pair may not appear twice
-    with two results, and up to ``CACHE_RECHECKS`` evenly spaced records are
-    checked against ``pair_by_predicate``."""
-    if not path.exists():
-        return
-    cache = G.pair_cache.setdefault(class_name, {})
-    points = list(range(G.degree))
-    loaded: list[tuple[int, tuple, bool]] = []
-    try:
-        with path.open() as f:
-            for lineno, line in enumerate(f, start=1):
-                try:
-                    record = json.loads(line)
-                    if not isinstance(record, dict) or not set(CACHE_KEYS) <= record.keys():
-                        raise ValueError(f"a record needs the keys {', '.join(CACHE_KEYS)}")
-                    fmt = record.get("format", CACHE_FORMAT)
-                    if type(fmt) is not int or fmt != CACHE_FORMAT:
-                        raise ValueError(f"format {json.dumps(fmt)} is not {CACHE_FORMAT}")
-                    group, cls, pair, result = (record[k] for k in CACHE_KEYS)
-                    if not isinstance(result, bool):
-                        raise ValueError("result is not true or false")
-                    if group == G.cache_key and cls == class_name:
-                        xt, yt = (tuple(map(operator.index, t)) for t in pair)
-                        if sorted(xt) != points or sorted(yt) != points:
-                            raise ValueError(
-                                f"pair is not two permutations of degree {G.degree}")
-                        if not G.chain.contains(xt) or not G.chain.contains(yt):
-                            raise ValueError("pair is not in the group")
-                        key = pair_key(xt, yt)
-                        if cache.setdefault(key, result) != result:
-                            raise ValueError("pair appears earlier with the other result")
-                        loaded.append((lineno, key, result))
-                except (TypeError, ValueError) as exc:
-                    _refuse(f"pair cache {path}, line {lineno}: {exc}")
-    except (OSError, UnicodeDecodeError) as exc:
-        _refuse(f"cannot read pair cache {path}: {exc}")
-    C = class_by_name(class_name)
-    count = min(CACHE_RECHECKS, len(loaded))
-    for lineno, (xt, yt), result in (loaded[k * len(loaded) // count] for k in range(count)):
-        if pair_by_predicate(C, G, Permutation(xt), Permutation(yt)) != result:
-            _refuse(f"pair cache {path}, line {lineno}: result {json.dumps(result)} "
-                    "disagrees with the pair test")
-
-
-def _save_pair_cache(G: FiniteGroup, class_name: str, path: Path) -> None:
-    """Write the pair cache through a temporary file in the same directory,
-    so a failed write leaves the old file as it was."""
-    cache = G.pair_cache.get(class_name, {})
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w") as f:
-            for (xt, yt), result in sorted(cache.items()):
-                f.write(json.dumps({
-                    "group": G.cache_key,
-                    "class": class_name,
-                    "format": CACHE_FORMAT,
-                    "pair": [list(xt), list(yt)],
-                    "result": result,
-                    "version": __version__,
-                }, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        _refuse(f"cannot write pair cache {path}: {exc}")
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 @click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
@@ -241,18 +160,16 @@ def main() -> None:
 @click.option("--pair-budget", type=int, default=10**9, envvar=PAIR_BUDGET_ENV,
               help=f"Maximum element pairs per run (default from ${PAIR_BUDGET_ENV} "
                    f"or 10^9).")
-@click.option("--cache", "cache_path", type=click.Path(path_type=Path), default=None,
-              help="JSON-lines pair-classification cache, reused across runs.")
+@click.option("--cache", type=click.Path(), expose_value=False,
+              help="Accepted for compatibility; no file is read or written.")
 def analyze(group_source: str, class_name: str, fmt: str, cap: int,
-            pair_budget: int, cache_path: Path | None) -> None:
+            pair_budget: int) -> None:
     """Per-class-representative probabilities, whole-group probability,
     global omega size, and the structural identity checks."""
     G = _load_group(group_source, cap)
     C = class_by_name(class_name)
     if G.order ** 2 > pair_budget:
         _refuse(f"pair budget: {G.order}^2 pairs exceed --pair-budget {pair_budget}")
-    if cache_path is not None:
-        _load_pair_cache(G, class_name, cache_path)
 
     per_rep = []
     for rep, size in G.conjugacy_classes():
@@ -278,8 +195,6 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
         "omega_global_size": len(core),
         "identities": identities.results,
     })
-    if cache_path is not None:
-        _save_pair_cache(G, class_name, cache_path)
     _finish(report, fmt, identities.passed)
 
 
@@ -292,7 +207,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
 @click.option("--dot", "dot_path", type=click.Path(path_type=Path), default=None,
               help=f"Write a DOT edge dump (graphs up to {DOT_VERTEX_LIMIT} vertices).")
 def graph(group_source: str, class_name: str, fmt: str, cap: int,
-          workers: int, dot_path: Path | None) -> None:
+          dot_path: Path | None) -> None:
     """Class graph components, diameters, and the diameter-bound checks."""
     from .graphs import build_graph, components_and_diameters
 
@@ -406,7 +321,7 @@ SELFTEST_GROUPS = ("S3", "A4", "D12", "Q8", "SL23", "S4", "A5")
 @click.option("--seed", type=int, default=0)
 @workers_option
 @format_option
-def selftest(seed: int, workers: int, fmt: str) -> None:
+def selftest(seed: int, fmt: str) -> None:
     """Deterministic identity and graph suite over a fixed group sample.
 
     The same seed yields byte-identical output.

@@ -255,14 +255,6 @@ class FiniteGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    @cached_property
-    def cache_key(self) -> str:
-        """Stable hash of (degree, generators), for persisted caches."""
-        import hashlib
-
-        blob = repr((self.degree, self._gen_tuples)).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
     def __repr__(self) -> str:
         label = self.name or f"degree-{self.degree} group"
         return f"<FiniteGroup {label} of order {self.order}>"
