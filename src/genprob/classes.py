@@ -20,8 +20,11 @@ constructing the subgroup where a cheap criterion exists:
 * soluble: commuting generators give an abelian group.  Otherwise the pair
   is split into its restrictions to the orbits of <x, y>, and it is soluble
   iff every restriction is.  Each restriction is relabelled onto 0..k-1
-  and looked up by that key in the group's ``restriction_cache``; on a
-  miss the relabelled pair gets a stabilizer chain of degree k, its order
+  from its least point and looked up under that labelling in the group's
+  ``restriction_cache``.  Only on a miss is it named by its canonical key,
+  the least relabelling over all its start points, and looked up again;
+  the verdict is then stored under both keys.  On a miss of the canonical
+  key too, the relabelled pair gets a stabilizer chain of degree k, its order
   settles the question when it is below 60, odd, or has at most two prime
   divisors (so every orbit of at most four points), and its derived series
   settles the rest.
@@ -161,12 +164,15 @@ def _relabel(xt: tuple, yt: tuple, start: int,
     return (tuple(xr), tuple([label[yt[p]] for p in points])), points
 
 
-def restriction_key(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tuple], list[int]]:
+def restriction_key(xt: tuple, yt: tuple, start: int,
+                    first: tuple[tuple[tuple, tuple], list[int]] | None = None,
+                    ) -> tuple[tuple[tuple, tuple], list[int]]:
     """The cache key of the restriction of x and y to the orbit of
     ``start``, with its points in label order: the least ``_relabel`` over
     the orbit's start points.  Equal keys mean the same pair of permutations
-    up to renaming points."""
-    best = _relabel(xt, yt, start)
+    up to renaming points.  ``first``, when given, is ``_relabel(xt, yt,
+    start)`` already made, and is not made again."""
+    best = first if first is not None else _relabel(xt, yt, start)
     points = best[1]
     # x'[0] is 0 exactly when x fixes the start point, and keys compare x'
     # first: when x fixes a point of the orbit, only those starts can win
@@ -200,17 +206,26 @@ def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     # quotients and direct products, so <x, y> is soluble iff every orbit
     # restriction is (Dixon-Mortimer 1.6).  Relabelling points keeps
     # solubility, so each restriction is decided once per group and key.
+    # The cache is asked first for the relabelling from the orbit's least
+    # point, which conjugate pairs share when the conjugating element fixes
+    # that point; only on a miss is the least relabelling over the other
+    # start points searched for, and the verdict is stored under both.
+    cache = G.restriction_cache
     seen = bytearray(G.degree)
     for start in range(G.degree):
         if seen[start]:
             continue
         # every relabelling lists the whole orbit
-        key, points = restriction_key(xt, yt, start)
-        for p in points:
+        first = _relabel(xt, yt, start)
+        for p in first[1]:
             seen[p] = 1
-        result = G.restriction_cache.get(key)
+        result = cache.get(first[0])
         if result is None:
-            result = G.restriction_cache[key] = _soluble_restriction(G, *key)
+            key = restriction_key(xt, yt, start, first)[0]
+            result = cache.get(key)
+            if result is None:
+                result = cache[key] = _soluble_restriction(G, *key)
+            cache[first[0]] = result
         if not result:
             return False
     return True

@@ -241,7 +241,8 @@ class FiniteGroup:
         # shared caches used by the class / probability machinery
         self.pair_cache: dict[str, dict[tuple, bool]] = {}
         self.row_cache: dict[tuple[str, tuple[int, ...]], ElementSet] = {}
-        # soluble pair test: relabelled orbit restriction -> soluble
+        # soluble pair test: orbit restriction -> soluble, keyed both by its
+        # relabelling from its least point and by its canonical key
         self.restriction_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         # nilpotent pair test: element -> {prime dividing its order: p-part}
         self.prime_part_cache: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}

@@ -73,10 +73,17 @@ def dihedral_tower(
     involution x is point negation.  Projections send r to r and x to x;
     this is the finite shadow of inverting a procyclic rotation group.
     """
-    if p % 2 == 0 or prime_factors(p) != [p]:
+    if p < 3 or p % 2 == 0:
         raise GroupError("p must be an odd prime")
-    if 2 * p ** n_max > cap:
-        raise CapExceeded(f"top level order {2 * p ** n_max} exceeds cap {cap}")
+    # the order grows level by level, so a huge p or n_max is refused after
+    # at most log_3(cap) products, and before the trial division below
+    order, level = 2, 0
+    while level < n_max and order <= cap:
+        order, level = order * p, level + 1
+    if order > cap:
+        raise CapExceeded(f"top level order 2*{p}^{n_max} exceeds cap {cap}")
+    if prime_factors(p) != [p]:
+        raise GroupError("p must be an odd prime")
 
     levels = []
     for n in range(1, n_max + 1):

@@ -29,6 +29,7 @@ from genprob.classes import (
 )
 from genprob.errors import NotInGroup
 from genprob.perm import identity_tuple, inv, mul, prime_component, tuple_order
+from genprob.probability import prob_group
 from genprob.tower import dihedral_tower
 from genprob.util import pi_part, prime_factors
 
@@ -371,6 +372,81 @@ class TestRestrictionKey:
                 assert restriction_key(xt, yt, start) == least
                 fixed_starts += least[0][0][0] == 0
         assert fixed_starts
+
+
+class TestRestrictionLookup:
+    """The soluble pair test asks the restriction cache for the relabelling
+    from each orbit's least point first, and names the restriction by its
+    canonical key only on a miss."""
+
+    def calls(self, monkeypatch, name):
+        seen = []
+        f = getattr(classes, name)
+
+        def counted(*args):
+            seen.append(args)
+            return f(*args)
+
+        monkeypatch.setattr(classes, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("name", ["PSL27", "S6", "A6", "S3xA5"])
+    def test_given_first_relabelling_is_not_made_again(self, name, monkeypatch):
+        G = catalog_group(name)
+        rng = random.Random(len(name) + 1)
+        elems = G.element_tuples()
+        relabels = self.calls(monkeypatch, "_relabel")
+        for _ in range(30):
+            xt, yt = rng.choice(elems), rng.choice(elems)
+            for start in range(G.degree):
+                first = _relabel(xt, yt, start)
+                plain = restriction_key(xt, yt, start)
+                relabels.clear()
+                assert restriction_key(xt, yt, start, first) == plain
+                assert all(args[2] != start for args in relabels)
+
+    @pytest.mark.parametrize("name", ["PSL27", "A6"])
+    def test_exhaustive_count_decides_each_canonical_key_once(self, name, monkeypatch):
+        G = load(name)
+        decided = self.calls(monkeypatch, "_soluble_restriction")
+        prob_group(SOLUBLE, G, method="exhaustive")
+        # every entry, under either kind of key, holds the verdict of the
+        # restriction it names
+        verdicts = {}
+        for key, value in G.restriction_cache.items():
+            verdicts[key] = FiniteGroup(len(key[0]), [Permutation(t) for t in key]).is_soluble
+            assert value is verdicts[key]
+        # the canonical keys the unordered pairs meet, orbit by orbit in the
+        # order of their least points, up to the first insoluble one
+        elems = G.element_tuples()
+        expected = set()
+        for i, xt in enumerate(elems):
+            for yt in elems[i + 1:]:
+                if mul(xt, yt) == mul(yt, xt):
+                    continue
+                seen = set()
+                for start in range(G.degree):
+                    if start in seen:
+                        continue
+                    key, points = restriction_key(xt, yt, start)
+                    seen.update(points)
+                    expected.add(key)
+                    if not verdicts[key]:
+                        break
+        assert sorted(args[1:] for args in decided) == sorted(expected)
+        assert expected < G.restriction_cache.keys()
+
+    def test_second_pass_names_no_restriction(self, monkeypatch):
+        # once every first relabelling is stored, a pass over the same pairs
+        # relabels each orbit once and searches for no canonical key
+        G = load("PSL27")
+        first = prob_group(SOLUBLE, G, method="exhaustive")
+        G.pair_cache.clear()
+        searches = self.calls(monkeypatch, "restriction_key")
+        relabels = self.calls(monkeypatch, "_relabel")
+        assert prob_group(SOLUBLE, G, method="exhaustive") == first
+        assert not searches
+        assert relabels
 
 
 @settings(deadline=None, max_examples=60)

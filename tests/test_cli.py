@@ -26,6 +26,17 @@ def run_json(runner, args):
     return result, json.loads(result.output) if result.output.startswith("{") else None
 
 
+def run_python(code, *args, timeout):
+    """Run ``code`` in a fresh interpreter that imports this genprob, with
+    the default cap."""
+    src = str(Path(genprob.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("GENPROB_CAP", None)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
 class TestAnalyze:
     def test_s3_nilpotent(self, runner):
         result, report = run_json(runner, ["analyze", "--group", "S3", "--class", "nilpotent"])
@@ -119,7 +130,7 @@ class TestAnalyze:
 class TestRowStore:
     def test_psl27_soluble_builds_few_chains(self, runner, chain_builds):
         # one chain per relabelled orbit restriction, not one per pair of
-        # the exhaustive loop: 94 chains, where one per pair built 13 622
+        # the exhaustive loop: 102 chains, where one per pair built 13 622
         result = runner.invoke(main, ["analyze", "--group", "PSL27", "--class", "soluble"])
         assert result.exit_code == 0
         assert 0 < len(chain_builds) < 200
@@ -231,6 +242,21 @@ class TestInputErrors:
             runner, ["tower", "dihedral", "--prime", "3", "--levels", "0",
                      "--class", "nilpotent"])
 
+    @pytest.mark.parametrize("prime, levels", [
+        ("3", "10000"), ("2305843009213693951", "1"), ("3", "30000000"), ("3", "20"),
+    ])
+    def test_tower_over_cap_is_refused_at_once(self, prime, levels):
+        # the order 2*p^levels is never built in full: 2*3^10000 has more
+        # digits than int-to-str allows, and a large prime must not be
+        # trial-divided before the cap refuses it
+        result = run_python(
+            "from genprob.cli import main; main()", "tower", "dihedral", "--prime", prime,
+            "--levels", levels, "--class", "nilpotent", timeout=5)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"Error: top level order 2*{prime}^{levels} exceeds cap 100000"]
+
     @pytest.mark.parametrize("command", [
         ["analyze", "--group", "S4"],
         ["graph", "--group", "S4"],
@@ -334,13 +360,9 @@ class TestCatalogListAndSelftest:
 def test_cli_import_leaves_graphs_tower_and_wreath_unloaded():
     # each is imported by the subcommands that use it, so analyze never
     # loads them
-    src = str(Path(genprob.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, genprob.cli; print(sorted(m for m in "
             "('genprob.graphs', 'genprob.tower', 'genprob.wreath') if m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env, timeout=60)
+    result = run_python(code, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 

@@ -47,6 +47,19 @@ class TestConstruction:
         with pytest.raises(CapExceeded):
             dihedral_tower(3, 4, cap=100)
 
+    def test_cap_bounds_the_top_order_exactly(self):
+        assert dihedral_tower(3, 6, cap=1458).levels[-1].order == 1458
+        with pytest.raises(CapExceeded, match=r"2\*3\^6 exceeds cap 1457"):
+            dihedral_tower(3, 6, cap=1457)
+        with pytest.raises(CapExceeded):
+            dihedral_tower(3, 6, cap=486)  # level 5 reaches the cap exactly
+        assert dihedral_tower(5, 3, cap=250).levels[-1].order == 250
+        with pytest.raises(CapExceeded):
+            dihedral_tower(5, 3, cap=249)
+        # an odd composite within the cap is still refused
+        with pytest.raises(GroupError, match="odd prime"):
+            dihedral_tower(15, 2)
+
     def test_bad_projection_rejected(self, tower3):
         broken = [lambda p: tower3.levels[0].identity for _ in range(3)]
         with pytest.raises(GroupError):
