@@ -22,8 +22,11 @@ constructing the subgroup where a cheap criterion exists:
   iff every restriction is.  Each restriction is relabelled onto 0..k-1
   from its least point and looked up under that labelling in the group's
   ``restriction_cache``.  Only on a miss is it named by its canonical key,
-  the least relabelling over all its start points, and looked up again;
-  the verdict is then stored under both keys.  On a miss of the canonical
+  the least relabelling over all its start points (only those x fixes,
+  when there are any), and looked up again; the verdict is then stored
+  under both keys.  The search is a plain minimum over full relabellings:
+  it runs on 504 of the 15 876 orbit lookups of the exhaustive PSL(2,7)
+  count, too few for an early exit to pay.  On a miss of the canonical
   key too, the relabelled pair gets a stabilizer chain of degree k, its order
   settles the question when it is below 60, odd, or has at most two prime
   divisors (so every orbit of at most four points), and its derived series
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import NotInGroup, UnknownName
@@ -136,14 +140,11 @@ def _order_forces_soluble(n: int) -> bool:
     return n < _SMALLEST_INSOLUBLE or n % 2 == 1 or len(prime_factors(n)) <= 2
 
 
-def _relabel(xt: tuple, yt: tuple, start: int,
-             bound: tuple | None = None) -> tuple[tuple[tuple, tuple], list[int]] | None:
+def _relabel(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tuple], list[int]]:
     """The restriction of x and y to the orbit of ``start`` under <x, y>,
     with the points numbered in the order a breadth-first search from
     ``start`` finds them, applying x then y to each; and the orbit points
-    in label order, so label i stands for point ``points[i]``.  x' is built
-    in label order, so the search stops, returning None, as soon as x' is
-    known to exceed ``bound``."""
+    in label order, so label i stands for point ``points[i]``."""
     label = {start: 0}
     points = [start]
     xr: list[int] = []
@@ -155,34 +156,20 @@ def _relabel(xt: tuple, yt: tuple, start: int,
         if r not in label:
             label[r] = len(points)
             points.append(r)
-        v = label[q]
-        if bound is not None and v != bound[len(xr)]:
-            if v > bound[len(xr)]:
-                return None
-            bound = None
-        xr.append(v)
+        xr.append(label[q])
     return (tuple(xr), tuple([label[yt[p]] for p in points])), points
 
 
-def restriction_key(xt: tuple, yt: tuple, start: int,
-                    first: tuple[tuple[tuple, tuple], list[int]] | None = None,
-                    ) -> tuple[tuple[tuple, tuple], list[int]]:
+def restriction_key(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tuple], list[int]]:
     """The cache key of the restriction of x and y to the orbit of
-    ``start``, with its points in label order: the least ``_relabel`` over
-    the orbit's start points.  Equal keys mean the same pair of permutations
-    up to renaming points.  ``first``, when given, is ``_relabel(xt, yt,
-    start)`` already made, and is not made again."""
-    best = first if first is not None else _relabel(xt, yt, start)
-    points = best[1]
+    ``start``, with its points in label order: the first least ``_relabel``
+    over the orbit's start points, in label order.  Equal keys mean the same
+    pair of permutations up to renaming points."""
+    points = _relabel(xt, yt, start)[1]
     # x'[0] is 0 exactly when x fixes the start point, and keys compare x'
     # first: when x fixes a point of the orbit, only those starts can win
-    for s in [p for p in points if xt[p] == p] or points:
-        if s == start:
-            continue
-        other = _relabel(xt, yt, s, best[0][0])
-        if other is not None and other[0] < best[0]:
-            best = other
-    return best
+    starts = [p for p in points if xt[p] == p] or points
+    return min((_relabel(xt, yt, s) for s in starts), key=itemgetter(0))
 
 
 def _soluble_restriction(G: FiniteGroup, xr: tuple, yr: tuple) -> bool:
@@ -208,8 +195,8 @@ def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     # solubility, so each restriction is decided once per group and key.
     # The cache is asked first for the relabelling from the orbit's least
     # point, which conjugate pairs share when the conjugating element fixes
-    # that point; only on a miss is the least relabelling over the other
-    # start points searched for, and the verdict is stored under both.
+    # that point; only on a miss is the least relabelling over all start
+    # points searched for, and the verdict is stored under both.
     cache = G.restriction_cache
     seen = bytearray(G.degree)
     for start in range(G.degree):
@@ -221,7 +208,7 @@ def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
             seen[p] = 1
         result = cache.get(first[0])
         if result is None:
-            key = restriction_key(xt, yt, start, first)[0]
+            key = restriction_key(xt, yt, start)[0]
             result = cache.get(key)
             if result is None:
                 result = cache[key] = _soluble_restriction(G, *key)

@@ -651,8 +651,9 @@ def parse_group_spec(text: str, cap: int = DEFAULT_MATERIALIZATION_CAP,
                      name: str | None = None) -> FiniteGroup:
     """Parse the group-spec text format.
 
-    First line: ``degree N``.  Each following non-empty line is one generator
-    in 1-indexed cycle notation.  Lines starting with ``#`` are comments.
+    First line: ``degree N``, N at most ``cap``.  Each following non-empty
+    line is one generator in 1-indexed cycle notation.  Lines starting with
+    ``#`` are comments.
     """
     lines = text.splitlines()
     degree = None
@@ -663,11 +664,19 @@ def parse_group_spec(text: str, cap: int = DEFAULT_MATERIALIZATION_CAP,
             continue
         if degree is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
-                raise ParseError("expected 'degree N' header", line=lineno)
-            degree = int(parts[1])
+            try:
+                if len(parts) != 2 or parts[0] != "degree":
+                    raise ValueError
+                # int, not str.isdigit, which also accepts digits such as '²'
+                degree = int(parts[1])
+            except ValueError:
+                raise ParseError("expected 'degree N' header", line=lineno) from None
             if degree < 1:
                 raise ParseError("degree must be positive", line=lineno)
+            # every generator lists its degree images, so a degree past the
+            # cap is refused before any is built
+            if degree > cap:
+                raise CapExceeded(f"degree {degree} exceeds cap {cap}")
             continue
         try:
             gens.append(Permutation.parse(line, degree))

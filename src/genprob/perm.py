@@ -182,7 +182,11 @@ class Permutation:
             raise ParseError(f"malformed cycle notation: {text!r}")
         touched: set[int] = set()
         for body in re.findall(r"\(([^()]*)\)", text):
-            points = [int(tok) - 1 for tok in re.split(r"[,\s]+", body.strip())]
+            try:
+                points = [int(tok) - 1 for tok in re.split(r"[,\s]+", body.strip())]
+            except ValueError:
+                # a point of more digits than int() converts from a string
+                raise ParseError(f"point out of range for degree {degree}") from None
             for pt in points:
                 if not 0 <= pt < degree:
                     raise ParseError(f"point {pt + 1} out of range for degree {degree}")

@@ -57,7 +57,10 @@ class TestParsing:
             p = Permutation.parse(text, 7)
             assert Permutation.parse(str(p), 7) == p
 
-    @pytest.mark.parametrize("bad", ["(1,2", "(0,1)", "(1,9)", "(1,1)", "(1,2)(2,3)", "junk"])
+    @pytest.mark.parametrize("bad", [
+        "(1,2", "(0,1)", "(1,9)", "(1,1)", "(1,2)(2,3)", "junk",
+        pytest.param(f"(1,{'9' * 5000})", id="5000-digit-point"),
+    ])
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             Permutation.parse(bad, 5)

@@ -233,6 +233,27 @@ class TestVerification:
         assert report.sampled_passed < report.sampled_checks
         assert not report.all_passed
 
+    def test_mechanism_reads_the_coordinate_of_h_at_z_inverse(self, level, T, monkeypatch):
+        # h read as alpha at one z^-1 outside <g>: the conjugates there are
+        # still formed from the true h, so only the check of that coordinate
+        # can fail the samples for z
+        h = compute_h(level, build_g(level, T, T.g))
+        cyclic = {T.g ** k for k in range(T.g.order())}
+        z = next(z for z in level.top.elements() if z not in cyclic)
+        planted = z.inverse()
+        assert projection(level, h, planted) == BETA
+
+        def faulty(lv, w, x):
+            if w.images == h.images and x == planted:
+                return ALPHA
+            return projection(lv, w, x)
+
+        monkeypatch.setattr("genprob.wreath.projection", faulty)
+        report = verify_lemma_mechanism(level, T, samples=3, seed=5)
+        assert report.sampled_checks == 57 * 3
+        assert report.sampled_passed == report.sampled_checks - 3
+        assert not report.all_passed
+
     def test_seed_fixes_the_drawn_bases(self, level, T, monkeypatch):
         conjugate = WreathLevel.conjugate
 
