@@ -27,10 +27,13 @@ constructing the subgroup where a cheap criterion exists:
   under both keys.  The search is a plain minimum over full relabellings:
   it runs on 504 of the 15 876 orbit lookups of the exhaustive PSL(2,7)
   count, too few for an early exit to pay.  On a miss of the canonical
-  key too, the relabelled pair gets a stabilizer chain of degree k, its order
-  settles the question when it is below 60, odd, or has at most two prime
-  divisors (so every orbit of at most four points), and its derived series
-  settles the rest.
+  key too, a restriction to k <= 4 points is soluble, since it lies in
+  Sym(4).  A longer one is insoluble when it is primitive and k is not a
+  prime power, or, at prime-power k, when it is primitive and a power of
+  x', y', x'y' or x'y'^-1 is a witness of Jordan's or Galois' theorem.
+  Only the rest get a stabilizer chain of degree k: its order settles the
+  question when it is below 60, odd, or has at most two prime divisors, and
+  its derived series settles what is left.
 
 Every fast test is property-checked against the plain
 ``predicate(subgroup(x, y))`` route in the test suite.
@@ -50,12 +53,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import lcm
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import NotInGroup, UnknownName
 from .group import FiniteGroup, _conjugation_by, bfs_closure, direct_product
-from .perm import Permutation, mul, prime_component, tuple_order
+from .perm import Permutation, inv, mul, prime_component, tuple_order
 from .util import pi_part, prime_factors
 
 __all__ = [
@@ -172,8 +176,79 @@ def restriction_key(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tupl
     return min((_relabel(xt, yt, s) for s in starts), key=itemgetter(0))
 
 
+def _has_witness(k: int, words: Sequence[tuple]) -> bool:
+    """Whether a power of prime order p of one of ``words`` on k points is a
+    p-cycle with p <= k - 3 (Jordan), or, for k prime, fixes two points or
+    more (Galois)."""
+    prime_degree = prime_factors(k) == [k]
+    for w in words:
+        lengths = [len(c) for c in Permutation(w).cycles()]
+        for p in prime_factors(lcm(*lengths)):
+            # w^(o/p), o the order of w, moves exactly the points of the
+            # cycles whose lengths hold the largest power of p
+            top = max(pi_part(n, (p,)) for n in lengths)
+            moved = sum(n for n in lengths if n % top == 0)
+            if moved == p <= k - 3 or (prime_degree and moved <= k - 2):
+                return True
+    return False
+
+
+def _is_primitive(k: int, gens: Sequence[tuple]) -> bool:
+    """Whether the transitive group generated by ``gens`` on k points is
+    primitive: for each a, the least block holding 0 and a is every point.
+    The block is Atkinson's union-find closure.  Each point queued has just
+    been joined to another class, so for each generator g the classes of
+    g(s) and g(r) are joined too, r the root of the class of s."""
+    for a in range(1, k):
+        parent = list(range(k))
+        parent[a] = 0
+        queue = [a]
+        for s in queue:
+            if len(queue) == k - 1:
+                break
+            r = _root(parent, s)
+            for g in gens:
+                u, v = _root(parent, g[s]), _root(parent, g[r])
+                if u != v:
+                    parent[v] = u
+                    queue.append(v)
+        if len(queue) < k - 1:
+            return False
+    return True
+
+
+def _root(parent: list[int], p: int) -> int:
+    while parent[p] != p:
+        p = parent[p]
+    return p
+
+
+def _certified_insoluble(xr: tuple, yr: tuple) -> bool:
+    """Whether a standard theorem proves the transitive group <x', y'> on
+    k >= 5 points insoluble.  A primitive soluble group has prime-power
+    degree (Dixon-Mortimer ch. 4), so a primitive group of any other degree
+    is insoluble.  At prime-power degree a witness is looked for first among
+    the powers of x', y', x'y' and x'y'^-1: a primitive group holding a
+    p-cycle with p <= k - 3 contains Alt(k) (Jordan, Dixon-Mortimer 3.3),
+    and no non-identity element of a soluble transitive group of prime
+    degree fixes two points (Galois).  A transitive group of prime degree
+    is primitive."""
+    k = len(xr)
+    primes = prime_factors(k)
+    if len(primes) == 1 and not _has_witness(k, (xr, yr, mul(xr, yr), mul(xr, inv(yr)))):
+        return False
+    return primes == [k] or _is_primitive(k, (xr, yr))
+
+
 def _soluble_restriction(G: FiniteGroup, xr: tuple, yr: tuple) -> bool:
-    """Whether the relabelled orbit restriction <x', y'> is soluble."""
+    """Whether the relabelled orbit restriction <x', y'> is soluble.  It is
+    transitive on its k points.  For k <= 4 it lies in Sym(4); a
+    certificate refutes most longer insoluble ones; only the rest, soluble
+    keys among them, get a chain."""
+    if len(xr) <= 4:
+        return True
+    if _certified_insoluble(xr, yr):
+        return False
     # the chain gives the order without listing elements; the derived
     # series runs only when the order leaves the answer open
     sub = FiniteGroup(len(xr), [Permutation(xr), Permutation(yr)], cap=G.cap)

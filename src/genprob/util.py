@@ -21,9 +21,12 @@ def prime_factors(n: int) -> list[int]:
 
 
 def pi_part(n: int, primes: Iterable[int]) -> int:
-    """The largest divisor of n whose prime factors all lie in ``primes``."""
+    """The largest divisor of n whose prime factors all lie in ``primes``;
+    a p below 2 is refused, since n % p never leaves 1 and 0 divides none."""
     part = 1
     for p in primes:
+        if p < 2:
+            raise ValueError(f"not a prime: {p}")
         while n % p == 0:
             part *= p
             n //= p

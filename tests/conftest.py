@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import genprob
 from genprob.catalog import load, names
 
 
@@ -9,6 +14,17 @@ from genprob.catalog import load, names
 def catalog_group(name):
     """Session-shared catalog groups: pair caches accumulate across tests."""
     return load(name)
+
+
+def run_python(code, *args, timeout):
+    """Run ``code`` in a fresh interpreter that imports this genprob, with
+    the default cap."""
+    src = str(Path(genprob.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("GENPROB_CAP", None)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 def catalog_names(max_order=None):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
@@ -22,6 +23,8 @@ from genprob.classes import (
     pair_row,
     restriction_key,
     test_pair as check_pair,
+    _certified_insoluble,
+    _is_primitive,
     _nilpotent_pair,
     _order_forces_soluble,
     _prime_parts,
@@ -29,7 +32,7 @@ from genprob.classes import (
 )
 from genprob.errors import NotInGroup
 from genprob.perm import identity_tuple, inv, mul, prime_component, tuple_order
-from genprob.probability import prob_group
+from genprob.probability import prob_group, verify_identities
 from genprob.tower import dihedral_tower
 from genprob.util import pi_part, prime_factors
 
@@ -451,6 +454,128 @@ class TestRestrictionLookup:
         assert prob_group(SOLUBLE, G, method="exhaustive") == first
         assert not searches
         assert relabels
+
+
+def primitive_by_blocks(k, gens):
+    """Whether the transitive group generated by ``gens`` on k points has no
+    block B holding 0 with 1 < |B| < k: the oracle for ``_is_primitive``
+    tries every such set, and B is a block iff each of its images under the
+    group is B or misses it."""
+    for bits in range(1, 2 ** (k - 1) - 1):
+        B = frozenset([0, *(p + 1 for p in range(k - 1) if bits >> p & 1)])
+        if k % len(B):
+            continue
+        images = [B]
+        for image in images:
+            if image != B and image & B:
+                break
+            for g in gens:
+                moved = frozenset(g[p] for p in image)
+                if moved not in images:
+                    images.append(moved)
+        else:
+            return False
+    return True
+
+
+def check_certificate(xr, yr):
+    """The certificate and the primitivity test on one transitive key,
+    against the key's own chain and the block oracle; returns whether the
+    key was certified."""
+    k = len(xr)
+    assert _is_primitive(k, (xr, yr)) is primitive_by_blocks(k, (xr, yr)), (xr, yr)
+    certified = _certified_insoluble(xr, yr)
+    if certified:
+        assert not FiniteGroup(k, [Permutation(xr), Permutation(yr)]).is_soluble, (xr, yr)
+    return certified
+
+
+class TestInsolubilityCertificate:
+    """A restriction that ``_certified_insoluble`` accepts is insoluble by
+    its own chain; keys of at most four points never reach it."""
+
+    @pytest.mark.parametrize("name", ["S5", "S6", "S7", "A6", "A7", "PSL27", "C3xA5"])
+    def test_keys_met_by_catalog_groups(self, name, monkeypatch):
+        G = load(name)
+        keys = []
+        decide = classes._soluble_restriction
+
+        def recorded(G, xr, yr):
+            keys.append((xr, yr))
+            return decide(G, xr, yr)
+
+        monkeypatch.setattr(classes, "_soluble_restriction", recorded)
+        prob_group(SOLUBLE, G)
+        certified = [check_certificate(*key) for key in keys if len(key[0]) > 4]
+        # PSL(2,7)'s restrictions of 5 points or more are its 8-point
+        # action, insoluble with no witness, and soluble 7-point ones
+        assert any(certified) is (name != "PSL27")
+
+    def test_m12_keys(self):
+        rng = random.Random(12)
+        n, draw = element_draws("M12", rng)
+        certified = []
+        for _ in range(25):
+            xt, yt = draw(), draw()
+            seen = set()
+            for start in range(n):
+                if start not in seen:
+                    key, points = restriction_key(xt, yt, start)
+                    seen.update(points)
+                    if len(points) > 4:
+                        certified.append(check_certificate(*key))
+        assert any(certified)
+
+    # (name, degree, x, y, order, soluble, primitive, certified); points
+    # 1..k stand for the field elements 0..k-1, F_8 = F_2[t]/(t^3 + t + 1)
+    # numbered by bits, and on the projective lines k is infinity
+    HAND_MADE = [
+        # soluble and primitive: no certificate may claim them
+        ("AGL(1,7)", 7, "(1,2,3,4,5,6,7)", "(2,4,3,7,5,6)", 42, True, True, False),  # x+1, 3x
+        ("AGL(1,8)", 8, "(1,2)(3,4)(5,6)(7,8)", "(2,3,5,4,7,8,6)", 56, True, True, False),  # x+1, tx
+        ("AGammaL(1,8)", 8, "(3,5,7)(4,6,8)", "(1,2,4,8,5,3,6)", 168, True, True, False),  # x^2, tx+1
+        # insoluble and primitive, with no witness at degree 8
+        ("PSL(2,7)", 8, "(1,2,3,4,5,6,7)", "(1,8)(2,7)(3,4)(5,6)", 168, False, True, False),  # x+1, -1/x
+        # certified
+        ("A7", 7, "(1,2,3)", "(1,2,3,4,5,6,7)", 2520, False, True, True),
+        ("PGL(2,5)", 6, "(1,2,3,4,5)", "(1,6)(2,3)(4,5)", 120, False, True, True),  # x+1, 2/x
+        ("A5 on pairs", 10, "(1,5,2)(3,6,8)(4,7,9)", "(1,5,8,10,4)(2,6,9,3,7)",
+         60, False, True, True),
+        # imprimitive: left to the chain; S4 wr C2 holds a transposition
+        ("S2 wr S3", 6, "(3,5)(4,6)", "(1,3,2,4)", 48, True, False, False),
+        ("A5 wr C2", 10, "(1,2,3)", "(1,7,2,8,3,9,4,10,5,6)", 7200, False, False, False),
+        ("S4 wr C2", 8, "(1,2)", "(1,6,2,7,3,8,4,5)", 1152, True, False, False),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, k, x, y, order, soluble, primitive, certified", HAND_MADE,
+        ids=[case[0] for case in HAND_MADE])
+    def test_hand_made_groups(self, name, k, x, y, order, soluble, primitive, certified):
+        x, y = P(x, k), P(y, k)
+        G = FiniteGroup(k, [x, y])
+        assert G.order == order
+        assert G.is_soluble is soluble
+        assert _is_primitive(k, (x.images, y.images)) is primitive
+        assert primitive_by_blocks(k, (x.images, y.images)) is primitive
+        assert _certified_insoluble(x.images, y.images) is certified
+        assert classes._soluble_restriction(G, x.images, y.images) is soluble
+
+
+def test_certificates_leave_few_chains(monkeypatch):
+    # the soluble rows and identities of S6 built 168 restriction chains
+    # when every new key got one; the certificates leave 45
+    G = load("S6")
+    built = []
+    group = classes.FiniteGroup
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return group(*args, **kwargs)
+
+    monkeypatch.setattr(classes, "FiniteGroup", counted)
+    assert prob_group(SOLUBLE, G).probability == Fraction(1, 5)
+    assert verify_identities(G).passed
+    assert len(built) < 50
 
 
 @settings(deadline=None, max_examples=60)

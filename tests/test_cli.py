@@ -1,9 +1,5 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -15,6 +11,8 @@ from genprob.classes import BUILTIN_CLASSES
 from genprob.cli import main
 from genprob.probability import IdentityReport
 
+from conftest import run_python
+
 
 @pytest.fixture
 def runner():
@@ -24,17 +22,6 @@ def runner():
 def run_json(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     return result, json.loads(result.output) if result.output.startswith("{") else None
-
-
-def run_python(code, *args, timeout):
-    """Run ``code`` in a fresh interpreter that imports this genprob, with
-    the default cap."""
-    src = str(Path(genprob.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    env.pop("GENPROB_CAP", None)
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, timeout=timeout)
 
 
 class TestAnalyze:

@@ -8,6 +8,8 @@ from genprob.errors import DegreeMismatch, ParseError
 from genprob.perm import identity_tuple, inv, mul
 from genprob.tower import dihedral_tower
 
+from conftest import run_python
+
 
 def perms(degree):
     return st.permutations(range(degree)).map(lambda t: Permutation(tuple(t)))
@@ -127,3 +129,19 @@ class TestMulKernel:
         assert (e * e).images == (0,)
         assert e * e == e and e ** 3 == e
         assert G.order == 1 and G.elements() == [e]
+
+
+@pytest.mark.parametrize("call", [
+    "pi_part(6, [1])", "pi_part(6, [0])", "pi_part(6, (2, 1))", "pi_part(6, [-3])",
+    "prime_component((1, 2, 0), 3, [1])",
+])
+def test_prime_below_two_is_refused(call):
+    # n % 1 is always 0, so a 1 among the primes looped for ever, and a 0
+    # raised ZeroDivisionError; a fresh interpreter with a timeout shows a
+    # hang as a failure
+    result = run_python(
+        "from genprob.perm import prime_component\n"
+        "from genprob.util import pi_part\n"
+        f"try:\n    {call}\nexcept ValueError as e:\n    print(e)\n", timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("not a prime: ")
