@@ -9,26 +9,21 @@ drift from the manifest silently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 from .errors import GroupError, UnknownName
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
+from .util import Frozen, Record
 
 __all__ = ["CatalogEntry", "entry", "load", "list_entries", "names"]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    file: str
-    expected_order: int
-    tags: dict
-
-    def __post_init__(self) -> None:
-        if self.expected_order < 1:
-            raise GroupError(f"entry {self.name}: expected order must be positive")
+class CatalogEntry(Frozen, Record):
+    def __init__(self, name: str, file: str, expected_order: int, tags: dict) -> None:
+        if expected_order < 1:
+            raise GroupError(f"entry {name}: expected order must be positive")
+        self.__dict__.update(name=name, file=file, expected_order=expected_order, tags=tags)
 
 
 @lru_cache(maxsize=1)

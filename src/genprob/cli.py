@@ -17,11 +17,9 @@ exits 2 after one ``Error:`` line on stderr.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
-from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import NoReturn
 
@@ -35,7 +33,8 @@ from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
 from .probability import omega_global, prob_elem, prob_group, verify_identities
 
 # graphs, tower and wreath are imported inside the subcommands that use
-# them, so a command that does not pays nothing to load them
+# them, and csv inside the csv branch of _emit, so a command that does not
+# use them pays nothing to load them; no subcommand imports genprob.checks
 
 SOLUBLE_CONNECTED_DIAMETER_BOUND = 5
 NILPOTENT_COMPONENT_DIAMETER_BOUND = 10
@@ -89,8 +88,10 @@ class _Main(click.Group):
             _refuse(str(exc))
 
 
-def _rational(q: Fraction) -> dict:
-    return {"num": q.numerator, "den": q.denominator}
+def _rational(favorable: int, total: int) -> dict:
+    """favorable/total in lowest terms, as ``Fraction`` would reduce it."""
+    d = gcd(favorable, total)
+    return {"num": favorable // d, "den": total // d}
 
 
 def _load_group(source: str, cap: int) -> FiniteGroup:
@@ -108,6 +109,9 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps(report, sort_keys=True))
         return
+    import csv
+    import io
+
     # csv: one (key, value) row per leaf, keys as dotted paths
     rows: list[tuple[str, str]] = []
 
@@ -177,7 +181,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
         per_rep.append({
             "representative": str(rep),
             "class_size": size,
-            "probability": _rational(p.probability),
+            "probability": _rational(p.favorable, p.total),
         })
     whole = prob_group(C, G)
     core = omega_global(C, G)
@@ -190,7 +194,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
     report.update({
         "group_order": G.order,
         "per_class_representative": per_rep,
-        "prob_group": _rational(whole.probability),
+        "prob_group": _rational(whole.favorable, whole.total),
         "prob_group_method": whole.method,
         "omega_global_size": len(core),
         "identities": identities.results,

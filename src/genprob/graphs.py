@@ -17,16 +17,17 @@ is the true diameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
 from operator import or_
+from typing import NamedTuple
 
 # pair_in_group is not called here; the benchmark's tracer tests check that
 # this import site of it gets wrapped, so the name stays bound
 from .classes import GroupClass, pair_in_group
 from .group import ElementSet, FiniteGroup
 from .probability import omega, omega_global, soluble_radical
+from .util import Record
 
 __all__ = [
     "ClassGraph",
@@ -72,13 +73,14 @@ def _bitset(members, width: int) -> int:
     return int(digits, 2)
 
 
-@dataclass
-class ClassGraph:
-    group: FiniteGroup
-    class_name: str
-    vertices: ElementSet
-    # rows[v]: bit w set when w is adjacent to v; 0 for a non-vertex
-    rows: list[int]
+class ClassGraph(Record):
+    def __init__(self, group: FiniteGroup, class_name: str, vertices: ElementSet,
+                 rows: list[int]) -> None:
+        self.group = group
+        self.class_name = class_name
+        self.vertices = vertices
+        # rows[v]: bit w set when w is adjacent to v; 0 for a non-vertex
+        self.rows = rows
 
     @property
     def is_empty(self) -> bool:
@@ -137,14 +139,16 @@ def build_graph(C: GroupClass, G: FiniteGroup) -> ClassGraph:
     return ClassGraph(G, C.name, ElementSet(G, vertex_set), rows)
 
 
-@dataclass
-class GraphReport:
-    group: str
-    class_name: str
-    vertex_count: int
-    components: list[dict] = field(default_factory=list)  # {label, size, diameter}
-    max_diameter: int | None = None
-    connected: bool = False
+class GraphReport(Record):
+    def __init__(self, group: str, class_name: str, vertex_count: int,
+                 components: list[dict] | None = None,
+                 max_diameter: int | None = None, connected: bool = False) -> None:
+        self.group = group
+        self.class_name = class_name
+        self.vertex_count = vertex_count
+        self.components = [] if components is None else components  # {label, size, diameter}
+        self.max_diameter = max_diameter
+        self.connected = connected
 
     def to_json(self) -> dict:
         return {
@@ -221,8 +225,7 @@ def components_and_diameters(graph: ClassGraph) -> GraphReport:
     return report
 
 
-@dataclass
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     group: str
     holds: bool
     graph_diameter: int | None

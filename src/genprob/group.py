@@ -13,12 +13,12 @@ so index 0 is always the identity and the ordering is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, ParseError
 from .perm import Permutation, identity_tuple, inv, mul
+from .util import Frozen
 
 __all__ = [
     "FiniteGroup",
@@ -597,17 +597,29 @@ class FiniteGroup:
         return parts
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of a materialized group, stored as canonical element indices."""
+class ElementSet(Frozen):
+    """A subset of a materialized group, stored as canonical element indices.
+    Equality and hash are those of the index set alone."""
 
-    group: FiniteGroup = field(compare=False)
-    members: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ("group", "members")
 
-    def __post_init__(self) -> None:
-        n = self.group.order
-        if any(not 0 <= i < n for i in self.members):
+    def __init__(self, group: FiniteGroup, members: frozenset[int] = frozenset()) -> None:
+        n = group.order
+        if any(not 0 <= i < n for i in members):
             raise ValueError("member index out of range")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is ElementSet:
+            return self.members == other.members
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
+
+    def __reduce__(self):
+        return ElementSet, (self.group, self.members)
 
     def __len__(self) -> int:
         return len(self.members)

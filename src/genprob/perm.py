@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from functools import total_ordering
 from operator import itemgetter
 from typing import Iterable
 
 from .errors import DegreeMismatch, ParseError
-from .util import pi_part
+from .util import Frozen, pi_part
 
 __all__ = [
     "Permutation", "mul", "inv", "identity_tuple", "tuple_order", "tuple_power",
@@ -96,16 +96,34 @@ def prime_component(p: tuple[int, ...], o: int,
     return tuple_power(p, b * pow(b, -1, a))
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """A bijection of {0..degree-1}, stored as its image tuple."""
+@total_ordering
+class Permutation(Frozen):
+    """A bijection of {0..degree-1}, stored as its image tuple.  Equality,
+    hash and order are those of the image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
+        if sorted(images) != list(range(n)):
             raise ValueError("images are not a bijection of {0..%d}" % (n - 1))
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is Permutation:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is Permutation:
+            return self.images < other.images
+        return NotImplemented
+
+    def __reduce__(self):
+        return Permutation, (self.images,)
 
     @property
     def degree(self) -> int:
@@ -116,7 +134,9 @@ class Permutation:
         return Permutation(identity_tuple(degree))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
+        if other.__class__ is not Permutation:
+            return NotImplemented
+        if len(self.images) != len(other.images):
             raise DegreeMismatch(
                 f"cannot compose degree {self.degree} with degree {other.degree}"
             )

@@ -25,15 +25,13 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple
 
 from .classes import GroupClass, pair_in_group, pair_row
 from .errors import EmptySet, NotInGroup
 from .group import ElementSet, FiniteGroup
-from .perm import Permutation, mul, prime_component, tuple_order
-from .util import prime_factors
+from .perm import Permutation
+from .util import Record
 
 __all__ = [
     "ProbabilityReport",
@@ -57,8 +55,7 @@ __all__ = [
 CLASS_REDUCTION_THRESHOLD = 360
 
 
-@dataclass(frozen=True)
-class ProbabilityReport:
+class ProbabilityReport(NamedTuple):
     group: str
     class_name: str
     favorable: int
@@ -67,6 +64,8 @@ class ProbabilityReport:
 
     @property
     def probability(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.favorable, self.total)
 
 
@@ -215,10 +214,10 @@ def center(G: FiniteGroup) -> ElementSet:
     return G.center()
 
 
-@dataclass
-class IdentityReport:
-    group: str
-    results: dict[str, bool] = field(default_factory=dict)
+class IdentityReport(Record):
+    def __init__(self, group: str, results: dict[str, bool] | None = None) -> None:
+        self.group = group
+        self.results = {} if results is None else results
 
     @property
     def passed(self) -> bool:
@@ -244,127 +243,17 @@ def verify_identities(G: FiniteGroup) -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# quotient and averaging laws
+# check-only names, served from genprob.checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckReport:
-    description: str
-    holds: bool
-    details: dict = field(default_factory=dict)
+_CHECKS = ("CheckReport", "quotient_monotonicity_check", "averaging_identity_check",
+           "partition_identity_check", "hall_bound_check")
 
 
-def quotient_monotonicity_check(
-    C: GroupClass, G: FiniteGroup, N: FiniteGroup, x: Permutation
-) -> CheckReport:
-    """The probability can only grow when passing to a quotient."""
-    quotient, project = G.quotient(N)
-    upstairs = prob_elem(C, G, x).probability
-    downstairs = prob_elem(C, quotient, project(x)).probability
-    return CheckReport(
-        f"quotient monotonicity for {C.name} on {_group_label(G)}",
-        downstairs >= upstairs,
-        {"quotient": downstairs, "group": upstairs},
-    )
-
-
-def averaging_identity_check(C: GroupClass, G: FiniteGroup, X: ElementSet) -> CheckReport:
-    """P(X, G) equals the average of P(x, G) over X, and is at least its
-    minimum over X."""
-    if not X.members:
-        raise EmptySet("averaging check requires nonempty X")
-    elems = G.element_tuples()
-    omega_sizes = [
-        len(omega(C, G, Permutation(elems[i]))) for i in sorted(X.members)
-    ]
-    pair_count = prob_sets(C, G, X, ElementSet(G, frozenset(range(G.order)))).favorable
-    total = sum(omega_sizes)
-    p_set = Fraction(pair_count, len(X) * G.order)
-    average = Fraction(total, len(X) * G.order)
-    minimum = Fraction(min(omega_sizes), G.order)
-    return CheckReport(
-        f"averaging identity for {C.name} on {_group_label(G)}",
-        pair_count == total and p_set == average and p_set >= minimum,
-        {"pair_count": pair_count, "sum_of_omegas": total, "min": minimum},
-    )
-
-
-def partition_identity_check(
-    C: GroupClass,
-    G: FiniteGroup,
-    X_parts: Sequence[ElementSet],
-    Y_parts: Sequence[ElementSet],
-) -> CheckReport:
-    """P(X, Y) = sum of P(X_i, Y_j) / (r*s) for equal-size disjoint partitions."""
-    r, s = len(X_parts), len(Y_parts)
-    X = ElementSet(G, frozenset().union(*(p.members for p in X_parts)))
-    Y = ElementSet(G, frozenset().union(*(p.members for p in Y_parts)))
-    if len(X) != sum(len(p) for p in X_parts) or len(Y) != sum(len(p) for p in Y_parts):
-        raise ValueError("parts must be disjoint")
-    whole = prob_sets(C, G, X, Y).probability
-    parts = sum(
-        prob_sets(C, G, Xi, Yj).probability for Xi in X_parts for Yj in Y_parts
-    )
-    return CheckReport(
-        f"coset partition identity for {C.name} on {_group_label(G)}",
-        whole == parts / (r * s),
-        {"whole": whole, "parts_average": parts / (r * s)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# the nilpotent NQ bound
-# ---------------------------------------------------------------------------
-
-def hall_bound_check(
-    G: FiniteGroup, Q: FiniteGroup, u: Permutation, v: Permutation
-) -> CheckReport:
-    """For G = NQ with Q normal nilpotent and N = <u,v> nilpotent, the
-    probability that random coset elements of uQ and vQ generate a nilpotent
-    subgroup is at most |Q : C_Q(R)|^-1, R the Hall subgroup of N away from
-    the primes of Q.
-    """
-    from .classes import NILPOTENT
-
-    failures = []
-    for qg in Q.generators:
-        if not G.contains(qg):
-            failures.append("Q not contained in G")
-            break
-        if any(not Q.contains((qg ** g)) for g in G.generators):
-            failures.append("Q not normal in G")
-            break
-    if not Q.is_nilpotent:
-        failures.append("Q not nilpotent")
-    N = G.subgroup([u, v])
-    if not N.is_nilpotent:
-        failures.append("N = <u,v> not nilpotent")
-    if G.subgroup(list(N.generators) + list(Q.generators)).order != G.order:
-        failures.append("G != NQ")
-    if failures:
-        return CheckReport("hall bound preconditions", False, {"failures": failures})
-
-    pi = frozenset(prime_factors(Q.order))
-    R_elems = set()
-    for n in N.element_tuples():
-        o = tuple_order(n)
-        # the pi'-component: the part over the primes of |n| outside pi
-        R_elems.add(prime_component(n, o, [q for q in prime_factors(o) if q not in pi]))
-    R_group = G.subgroup([Permutation(t) for t in sorted(R_elems)])
-    subgroup_ok = R_group.order == len(R_elems)
-
-    centralizer_size = sum(
-        1
-        for qt in Q.element_tuples()
-        if all(mul(qt, r) == mul(r, qt) for r in R_elems)
-    )
-    bound = Fraction(centralizer_size, Q.order)
-
-    uQ = G.right_coset(Q, u)
-    vQ = G.right_coset(Q, v)
-    lhs = prob_sets(NILPOTENT, G, uQ, vQ).probability
-    return CheckReport(
-        f"hall bound on {_group_label(G)}",
-        subgroup_ok and lhs <= bound,
-        {"probability": lhs, "bound": bound, "hall_is_subgroup": subgroup_ok},
-    )
+def __getattr__(name: str):
+    # PEP 562: the identity checks live in genprob.checks, which no CLI
+    # subcommand imports; it is loaded on first use of one of their names
+    if name in _CHECKS:
+        from . import checks
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,16 +10,15 @@ claimed limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 from .classes import GroupClass, NILPOTENT, SOLUBLE
 from .errors import CapExceeded, GroupError
 from .group import DEFAULT_MATERIALIZATION_CAP, ElementSet, FiniteGroup
 from .perm import Permutation
 from .probability import hypercenter, omega_global, prob_elem, soluble_radical
-from .util import prime_factors
+from .util import Record, prime_factors
 
 __all__ = [
     "QuotientTower",
@@ -32,16 +31,16 @@ __all__ = [
 ]
 
 
-@dataclass
-class QuotientTower:
+class QuotientTower(Record):
     """Levels with projections level k+1 -> level k and compatible tracks."""
 
-    name: str
-    levels: list[FiniteGroup]
-    projections: list[Callable[[Permutation], Permutation]]
-    tracks: dict[str, list[Permutation]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, levels: list[FiniteGroup],
+                 projections: list[Callable[[Permutation], Permutation]],
+                 tracks: dict[str, list[Permutation]] | None = None) -> None:
+        self.name = name
+        self.levels = levels
+        self.projections = projections
+        self.tracks = {} if tracks is None else tracks
         if len(self.projections) != len(self.levels) - 1:
             raise GroupError("need one projection per consecutive level pair")
         self._verify()
@@ -121,15 +120,17 @@ def prob_sequence(C: GroupClass, tower: QuotientTower, track: str) -> list[Fract
     ]
 
 
-@dataclass
-class MonotonicityReport:
-    tower: str
-    class_name: str
-    track: str
-    sequence: list[Fraction]
-    monotone: bool
-    violations: list[int] = field(default_factory=list)
-    sequence_with_orders: list[tuple[int, Fraction]] = field(default_factory=list)
+class MonotonicityReport(Record):
+    def __init__(self, tower: str, class_name: str, track: str, sequence: list[Fraction],
+                 monotone: bool, violations: list[int] | None = None,
+                 sequence_with_orders: list[tuple[int, Fraction]] | None = None) -> None:
+        self.tower = tower
+        self.class_name = class_name
+        self.track = track
+        self.sequence = sequence
+        self.monotone = monotone
+        self.violations = [] if violations is None else violations
+        self.sequence_with_orders = [] if sequence_with_orders is None else sequence_with_orders
 
     @property
     def inf_upper_bound(self) -> Fraction:
@@ -167,8 +168,7 @@ def monotonicity_report(
     )
 
 
-@dataclass
-class PositivityReport:
+class PositivityReport(NamedTuple):
     tower: str
     class_name: str
     indices: list[int]

@@ -1,4 +1,5 @@
-"""Small shared number helpers."""
+"""Small shared helpers: number theory, and the two bases the package's
+value classes and result records are built on."""
 
 from __future__ import annotations
 
@@ -31,3 +32,30 @@ def pi_part(n: int, primes: Iterable[int]) -> int:
             part *= p
             n //= p
     return part
+
+
+class Frozen:
+    """Base of the immutable classes.  ``__init__`` sets the attributes
+    through ``object.__setattr__``, or the instance ``__dict__`` where there
+    is one; any later assignment or deletion raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record:
+    """Base of the records compared by value: two records of one class are
+    equal when their attributes are.  A record is unhashable, as a dataclass
+    with mutable fields is."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented

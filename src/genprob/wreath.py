@@ -20,14 +20,14 @@ tests pin down.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GroupError, NotInGroup
 from .group import ElementSet, FiniteGroup
 from .perm import Permutation, identity_tuple, inv, mul, tuple_order, tuple_power
+from .util import Frozen, Record
 
 __all__ = [
     "WreathLevel",
@@ -57,12 +57,19 @@ def alt5() -> FiniteGroup:
     return FiniteGroup(5, [ALPHA, BETA], name="A5")
 
 
-@dataclass(frozen=True)
-class WreathLevel:
+class WreathLevel(Frozen):
     """One level of the tower: bottom wr top with the regular action."""
 
-    top: FiniteGroup
-    bottom: FiniteGroup
+    def __init__(self, top: FiniteGroup, bottom: FiniteGroup) -> None:
+        self.__dict__.update(top=top, bottom=bottom)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.top, self.bottom) == (other.top, other.bottom)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.top, self.bottom))
 
     @property
     def base_length(self) -> int:
@@ -133,12 +140,20 @@ class WreathLevel:
         return tuple_order(a.images)
 
 
-@dataclass(frozen=True)
-class WreathElement:
-    """An element of ``level`` as its image tuple (see the module docstring)."""
+class WreathElement(Frozen):
+    """An element of ``level`` as its image tuple (see the module docstring).
+    Equality and hash are those of the image tuple."""
 
-    images: tuple[int, ...]
-    level: WreathLevel = field(compare=False, repr=False)
+    def __init__(self, images: tuple[int, ...], level: WreathLevel) -> None:
+        self.__dict__.update(images=images, level=level)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     def coordinate(self, x: int) -> Permutation:
         """The base coordinate at top index x, decoded from block x alone."""
@@ -158,16 +173,22 @@ class WreathElement:
         return self.images[0] < self.level.bottom.degree
 
 
-@dataclass(frozen=True)
-class Transversal:
-    """Left-coset representatives of <g> in the top group, identity included."""
+class Transversal(Frozen):
+    """Left-coset representatives of <g> in the top group, identity included.
+    Equality and hash are those of the representatives."""
 
-    representatives: tuple[Permutation, ...]
-    g: Permutation = field(compare=False)
-
-    def __post_init__(self) -> None:
-        if not any(r.is_identity() for r in self.representatives):
+    def __init__(self, representatives: tuple[Permutation, ...], g: Permutation) -> None:
+        if not any(r.is_identity() for r in representatives):
             raise GroupError("transversal must contain the identity")
+        self.__dict__.update(representatives=representatives, g=g)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.representatives == other.representatives
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.representatives,))
 
 
 def _coset_key(top: FiniteGroup, x: Permutation, g: Permutation) -> frozenset[int]:
@@ -264,13 +285,14 @@ def base_level() -> tuple[WreathLevel, Permutation]:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GenerationReport:
-    checks: int
-    passed: int
-    failures: list[str] = field(default_factory=list)
-    # image tuples of the u for which <alpha, beta^u> is all of Alt(5)
-    generating: set[tuple[int, ...]] = field(default_factory=set)
+class GenerationReport(Record):
+    def __init__(self, checks: int, passed: int, failures: list[str] | None = None,
+                 generating: set[tuple[int, ...]] | None = None) -> None:
+        self.checks = checks
+        self.passed = passed
+        self.failures = [] if failures is None else failures
+        # image tuples of the u for which <alpha, beta^u> is all of Alt(5)
+        self.generating = set() if generating is None else generating
 
     @property
     def all_passed(self) -> bool:
@@ -293,8 +315,7 @@ def verify_alpha_beta_generation() -> GenerationReport:
     return report
 
 
-@dataclass
-class MechanismReport:
+class MechanismReport(NamedTuple):
     alpha_beta_checks: int
     alpha_beta_passed: int
     sampled_checks: int

@@ -1,7 +1,7 @@
 import pytest
 
-from genprob import UnknownName
-from genprob.catalog import entry, list_entries, load, names
+from genprob import GroupError, UnknownName
+from genprob.catalog import CatalogEntry, entry, list_entries, load, names
 
 from conftest import catalog_group, catalog_names
 
@@ -29,6 +29,18 @@ class TestManifest:
         for e in list_entries():
             assert e.expected_order >= 1
             assert set(e.tags) == {"abelian", "nilpotent", "soluble", "simple"}
+
+    def test_entry_construction(self):
+        tags = {"abelian": True, "nilpotent": True, "soluble": True, "simple": False}
+        positional = CatalogEntry("C4", "groups/C4.grp", 4, tags)
+        keyword = CatalogEntry(name="C4", file="groups/C4.grp", expected_order=4, tags=tags)
+        assert positional == keyword == entry("C4")
+        assert positional != CatalogEntry("C4", "groups/C4.grp", 2, tags)
+        with pytest.raises(AttributeError):
+            positional.expected_order = 8
+        for order in (0, -4):
+            with pytest.raises(GroupError, match="expected order must be positive"):
+                CatalogEntry("C4", "groups/C4.grp", order, tags)
 
 
 class TestLoad:

@@ -50,6 +50,17 @@ class TestClassLookup:
         with pytest.raises(UnknownName):
             class_by_name("perfect")
 
+    def test_equality_ignores_the_fast_test(self):
+        plain = GroupClass("soluble", SOLUBLE.predicate)
+        assert plain.fast_pair is None
+        assert plain == SOLUBLE and hash(plain) == hash(SOLUBLE)
+        assert GroupClass(name="soluble", predicate=SOLUBLE.predicate,
+                          fast_pair=ABELIAN.fast_pair) == SOLUBLE
+        assert GroupClass("soluble", NILPOTENT.predicate) != SOLUBLE
+        assert GroupClass("solvable", SOLUBLE.predicate) != SOLUBLE
+        with pytest.raises(AttributeError):
+            SOLUBLE.fast_pair = None
+
 
 class TestPredicates:
     def test_on_catalog(self):

@@ -370,6 +370,32 @@ def test_cli_import_leaves_graphs_tower_and_wreath_unloaded():
     assert result.stdout == "[]\n"
 
 
+# what no subcommand's import path may load: the dataclasses machinery, the
+# rationals, csv, and the check-only code
+OFF_PATH = ("dataclasses", "fractions", "decimal", "csv", "genprob.checks")
+
+
+@pytest.mark.parametrize("args", [
+    (),
+    ("analyze", "--group", "S4", "--class", "soluble"),
+    ("graph", "--group", "S4", "--class", "soluble"),
+], ids=["import", "analyze", "graph"])
+def test_cli_path_leaves_dataclasses_fractions_csv_and_checks_unloaded(args):
+    # after the command has run too, so the path drops these imports rather
+    # than deferring them into the command
+    code = ("import sys, genprob.cli\n"
+            "try:\n"
+            "    if sys.argv[1:]:\n"
+            "        genprob.cli.main()\n"
+            "finally:\n"
+            f"    print(sorted(m for m in {OFF_PATH!r} if m in sys.modules), file=sys.stderr)\n")
+    result = run_python(code, *args, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "[]\n"
+    if args:
+        assert json.loads(result.stdout)["passed"] is True
+
+
 class TestEnvOverrides:
     def test_cap_env(self, runner, monkeypatch):
         monkeypatch.setenv("GENPROB_CAP", "10")

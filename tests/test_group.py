@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -368,6 +369,29 @@ class TestElementSet:
         S4 = catalog_group("S4")
         Z = S4.center().as_subgroup()
         assert Z.order == 1
+
+    def test_equality_and_hash_ignore_the_group(self):
+        S4, twin = catalog_group("S4"), load("S4")
+        assert S4 is not twin
+        a = ElementSet(S4, frozenset({0, 1}))
+        b = ElementSet(group=twin, members=frozenset({0, 1}))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != ElementSet(S4, frozenset({0}))
+        assert a != frozenset({0, 1})
+        assert ElementSet(S4) == ElementSet(S4, frozenset())
+
+    def test_members_are_checked_and_frozen(self):
+        S4 = catalog_group("S4")
+        with pytest.raises(ValueError):
+            ElementSet(S4, frozenset({24}))
+        X = ElementSet(S4, frozenset({3}))
+        with pytest.raises(AttributeError):
+            X.members = frozenset()
+        with pytest.raises(AttributeError):
+            X.label = "x"
+        assert X.members == {3}
+        assert copy.copy(X) == X and copy.copy(X).group is S4
 
 
 class TestConstructors:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +53,59 @@ class TestBasics:
     def test_cycles_sorted_by_smallest_moved_point(self):
         p = Permutation.parse("(4,5)(1,2,3)", 6)
         assert p.cycles() == [(0, 1, 2), (3, 4)]
+
+
+class TestValueSemantics:
+    def test_equal_images_are_equal_and_hash_alike(self):
+        p = Permutation.parse("(1,2,3)", 4)
+        q = Permutation((1, 2, 0, 3))
+        assert p == q and p is not q
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
+        assert p != Permutation.identity(4)
+        assert p != p.images
+
+    def test_order_is_that_of_the_image_tuples(self):
+        perms = [Permutation(t) for t in itertools.permutations(range(3))]
+        assert sorted(reversed(perms)) == perms
+        a, b = perms[1], perms[2]
+        assert a < b and a <= b and b > a and b >= a
+        assert not (b < a or b <= a or a > b or a >= b)
+        assert a <= a and a >= a and not a < a and not a > a
+        with pytest.raises(TypeError):
+            a < a.images
+
+    def test_assignment_raises(self):
+        p = Permutation.identity(3)
+        with pytest.raises(AttributeError):
+            p.images = (1, 0, 2)
+        with pytest.raises(AttributeError):
+            p.label = "x"
+        with pytest.raises(AttributeError):
+            del p.images
+        assert p.images == (0, 1, 2)
+
+    def test_images_must_be_a_bijection(self):
+        with pytest.raises(ValueError):
+            Permutation((0, 0, 2))
+        with pytest.raises(ValueError):
+            Permutation(images=(1, 2))
+
+    def test_repr(self):
+        assert repr(Permutation.parse("(1,2)(3,4)", 5)) == "Permutation[5] (1,2)(3,4)"
+        assert repr(Permutation.identity(2)) == "Permutation[2] ()"
+
+    def test_copy_and_pickle_keep_the_value(self):
+        p = Permutation.parse("(1,3)(2,4,5)", 5)
+        assert copy.copy(p) == p
+        assert copy.deepcopy(p) == p
+        assert pickle.loads(pickle.dumps(p)) == p
+
+    def test_product_with_a_non_permutation_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Permutation.parse("(1,2)", 3) * 3
+        with pytest.raises(TypeError):
+            3 * Permutation.parse("(1,2)", 3)
 
 
 class TestParsing:

@@ -15,7 +15,12 @@ from genprob.classes import (
     pair_key,
 )
 from genprob.errors import NotInGroup
+import genprob.checks
+import genprob.classes
+import genprob.probability
 from genprob.probability import (
+    IdentityReport,
+    ProbabilityReport,
     averaging_identity_check,
     center,
     hall_bound_check,
@@ -313,3 +318,71 @@ class TestHallBound:
         r = hall_bound_check(S3, Q, P("(1,2,3)", 3), P("(1,2,3)", 3))
         assert not r.holds
         assert "Q not normal in G" in r.details["failures"]
+
+
+class TestReports:
+    def test_probability_report_is_a_value(self):
+        a = ProbabilityReport("S4", "soluble", 3, 6, "exhaustive")
+        b = ProbabilityReport(group="S4", class_name="soluble", favorable=3, total=6,
+                              method="exhaustive")
+        assert a == b and hash(a) == hash(b)
+        assert a != ProbabilityReport("S4", "soluble", 4, 6, "exhaustive")
+        assert a.probability == Fraction(1, 2)
+        with pytest.raises(AttributeError):
+            a.favorable = 4
+
+    def test_reports_of_one_run_are_equal(self):
+        G = catalog_group("S4")
+        assert prob_elem(SOLUBLE, G, P("(1,2)", 4)) == prob_elem(SOLUBLE, G, P("(1,2)", 4))
+        assert verify_identities(G) == verify_identities(G)
+
+    def test_identity_report_construction(self):
+        positional = IdentityReport("S4", {"center": True})
+        keyword = IdentityReport(group="S4", results={"center": True})
+        assert positional == keyword and positional.passed
+        assert positional != IdentityReport("S4", {"center": False})
+        assert not IdentityReport("S4", {"center": False}).passed
+        empty = IdentityReport("S4")
+        assert empty.results == {} and empty.passed
+        # each report gets a dict of its own
+        empty.results["center"] = False
+        assert IdentityReport("S4").results == {}
+
+
+class TestCheckModule:
+    # the check-only code lives in genprob.checks; classes and probability
+    # serve its names on first use, with __all__ as before
+    CLASSES_ALL = [
+        "GroupClass", "ABELIAN", "NILPOTENT", "SOLUBLE", "BUILTIN_CLASSES",
+        "class_by_name", "test_pair", "pair_row", "closure_audit", "ClosureAuditReport",
+    ]
+    PROBABILITY_ALL = [
+        "ProbabilityReport", "omega", "prob_elem", "prob_sets", "prob_group",
+        "omega_global", "soluble_radical", "hypercenter", "center", "verify_identities",
+        "IdentityReport", "quotient_monotonicity_check", "averaging_identity_check",
+        "hall_bound_check", "CLASS_REDUCTION_THRESHOLD",
+    ]
+
+    def test_names_are_the_check_module_objects(self):
+        from genprob.classes import closure_audit
+        from genprob.probability import hall_bound_check as served
+
+        assert closure_audit is genprob.checks.closure_audit
+        assert served is genprob.checks.hall_bound_check
+        assert genprob.classes.ClosureAuditReport is genprob.checks.ClosureAuditReport
+        for name in ("CheckReport", "quotient_monotonicity_check",
+                     "averaging_identity_check", "partition_identity_check"):
+            assert getattr(genprob.probability, name) is getattr(genprob.checks, name)
+
+    def test_all_is_unchanged(self):
+        assert genprob.classes.__all__ == self.CLASSES_ALL
+        assert genprob.probability.__all__ == self.PROBABILITY_ALL
+        for module in (genprob.classes, genprob.probability):
+            for name in module.__all__:
+                assert getattr(module, name) is not None
+
+    def test_unknown_names_still_raise(self):
+        with pytest.raises(AttributeError, match="no_such_check"):
+            genprob.probability.no_such_check
+        with pytest.raises(AttributeError, match="no_such_check"):
+            genprob.classes.no_such_check

@@ -6,6 +6,7 @@ from genprob import GroupError, NotInGroup, Permutation
 from genprob.wreath import (
     ALPHA,
     BETA,
+    Transversal,
     WreathElement,
     WreathLevel,
     alt5,
@@ -150,6 +151,35 @@ class TestEncodingOracle:
                 for p in range(d):
                     expected[d * x + p] = d * xs + base[x].images[p]
             assert level.element(base, s).images == tuple(expected)
+
+
+def test_levels_on_the_same_groups_are_equal(level):
+    again, _ = base_level()
+    assert again is not level
+    assert again == level and hash(again) == hash(level)
+    assert WreathLevel(level.top, level.top) == level
+    assert WreathLevel(level.top, alt5().subgroup([ALPHA])) != level
+    with pytest.raises(AttributeError):
+        level.top = level.bottom
+
+
+class TestTransversal:
+    def test_construction(self):
+        e = Permutation.identity(5)
+        positional = Transversal((e, BETA), ALPHA)
+        keyword = Transversal(representatives=(e, BETA), g=ALPHA)
+        assert positional == keyword and hash(positional) == hash(keyword)
+        # g is not compared
+        assert Transversal((e, BETA), BETA) == positional
+        assert Transversal((e, ALPHA), ALPHA) != positional
+        with pytest.raises(AttributeError):
+            positional.g = BETA
+
+    def test_identity_is_required(self):
+        with pytest.raises(GroupError, match="must contain the identity"):
+            Transversal((ALPHA, BETA), ALPHA)
+        with pytest.raises(GroupError, match="must contain the identity"):
+            Transversal(representatives=(), g=ALPHA)
 
 
 class TestConstruction:
