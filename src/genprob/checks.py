@@ -10,7 +10,6 @@ their names, loading this module on first use.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,7 +18,7 @@ from .errors import EmptySet
 from .group import ElementSet, FiniteGroup, direct_product
 from .perm import Permutation, mul, prime_component, tuple_order
 from .probability import _group_label, omega, prob_elem, prob_sets
-from .util import prime_factors
+from .util import Record, prime_factors
 
 __all__ = [
     "closure_audit",
@@ -36,11 +35,11 @@ __all__ = [
 # closure audit
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClosureAuditReport:
-    class_name: str
-    checks: int
-    violations: list[str]
+class ClosureAuditReport(Record):
+    def __init__(self, class_name: str, checks: int, violations: list[str]) -> None:
+        self.class_name = class_name
+        self.checks = checks
+        self.violations = violations
 
     @property
     def passed(self) -> bool:
@@ -96,11 +95,11 @@ def closure_audit(
 # quotient and averaging laws
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckReport:
-    description: str
-    holds: bool
-    details: dict = field(default_factory=dict)
+class CheckReport(Record):
+    def __init__(self, description: str, holds: bool, details: dict | None = None) -> None:
+        self.description = description
+        self.holds = holds
+        self.details = {} if details is None else details
 
 
 def quotient_monotonicity_check(

@@ -42,11 +42,12 @@ Every fast test is property-checked against the plain
 per orbit of x-translation, inversion and C_G(x)-conjugation, which leave
 <x, g> unchanged up to conjugation.  Those maps are index tables of the
 group's regular representation (``FiniteGroup.right_table`` and its
-siblings, each a few gathers of the stored generator tables), so the orbit
-walk and the search for generators of C_G(x) look up element indices and
-form no permutation products.  Abelian and nilpotent rows stay one test per
-element: a commute check is cheaper than building the orbits, and the
-nilpotent counts of the dihedral tower are pinned by the benchmark.
+siblings, each a few gathers of the stored generator tables), so the
+orbits, taken by ``group._orbits``, and the search for generators of C_G(x)
+look up element indices and form no permutation products.  Abelian and
+nilpotent rows stay one test per element: a commute check is cheaper than
+building the orbits, and the nilpotent counts of the dihedral tower are
+pinned by the benchmark.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import NotInGroup, UnknownName
-from .group import FiniteGroup, _conjugation_by, bfs_closure
+from .group import FiniteGroup, _conjugation_by, _orbits, _walk, bfs_closure
 from .perm import Permutation, inv, mul, prime_component, tuple_order
 from .util import Frozen, pi_part, prime_factors
 
@@ -360,10 +361,10 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:
     <x, c^-1 g c> is conjugate to it, so the answer is constant on the
     orbits of the group these maps generate.  The maps act on indices as
     the group's tables R_x, L_x, the inverse table and one conjugation
-    table per centralizer generator, so the orbit walk only looks up
-    indices.  One ``pair_in_group`` call on each orbit's least index
-    decides the whole orbit.  Every other class takes one pair test per
-    element.
+    table per centralizer generator, so ``_orbits`` only looks up indices.
+    One ``pair_in_group`` call on each orbit's least index decides the
+    whole orbit; the calls run in order of that index.  Every other class
+    takes one pair test per element.
     """
     elems = G.element_tuples()
     if C.predicate(G):
@@ -378,30 +379,11 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:
     right, left, inverse = G.right_table(x), G.left_table(x), G.inverse_table()
     maps = [right, left, inverse,
             *(_conjugation_by(inverse, r) for r in _centralizer_tables(G, right, left))]
-    seen = bytearray(G.order)
     passing: list[int] = []
-    for start in range(G.order):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        # the orbits part the group and starts ascend, so start is the
-        # orbit's least index
-        orbit = _walk([start], maps, seen)
-        if pair_in_group(C, G, xt, elems[start]):
+    for orbit in _orbits(G.order, maps):
+        if pair_in_group(C, G, xt, elems[orbit[0]]):
             passing += orbit
     return frozenset(passing)
-
-
-def _walk(orbit: list[int], maps: Sequence[list[int]], seen: bytearray) -> list[int]:
-    """Grow ``orbit``, whose members are marked in ``seen``, to its closure
-    under the index maps, marking each index it adds."""
-    for i in orbit:
-        for t in maps:
-            j = t[i]
-            if not seen[j]:
-                seen[j] = 1
-                orbit.append(j)
-    return orbit
 
 
 def _centralizer_tables(G: FiniteGroup, right: list[int], left: list[int]) -> list[list[int]]:

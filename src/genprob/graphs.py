@@ -26,7 +26,7 @@ from typing import NamedTuple
 # this import site of it gets wrapped, so the name stays bound
 from .classes import GroupClass, pair_in_group
 from .group import ElementSet, FiniteGroup
-from .probability import omega, omega_global, soluble_radical
+from .probability import _group_label, omega, omega_global, soluble_radical
 from .util import Record
 
 __all__ = [
@@ -185,8 +185,7 @@ def components_and_diameters(graph: ClassGraph) -> GraphReport:
     Singleton components have diameter 0.
     """
     G = graph.group
-    label = G.name or f"group(order={G.order})"
-    report = GraphReport(label, graph.class_name, len(graph.vertices.members))
+    report = GraphReport(_group_label(G), graph.class_name, len(graph.vertices.members))
     if graph.is_empty:
         report.connected = False
         return report
@@ -255,12 +254,12 @@ def quotient_graph_compatibility(G: FiniteGroup) -> CompatibilityReport:
         mismatches += len(upstairs ^ downstairs)
 
     if graph_G.is_empty:
-        return CompatibilityReport(G.name or "G", mismatches == 0, None, None, mismatches)
+        return CompatibilityReport(_group_label(G), mismatches == 0, None, None, mismatches)
 
     diam_G = components_and_diameters(graph_G).max_diameter
     diam_Q = components_and_diameters(graph_Q).max_diameter
     return CompatibilityReport(
-        G.name or "G",
+        _group_label(G),
         mismatches == 0 and diam_G == diam_Q,
         diam_G,
         diam_Q,

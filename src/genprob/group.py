@@ -8,6 +8,10 @@ capped step used by the counting machinery.
 The canonical element enumeration is a breadth-first closure from the
 generators in fixed generator order, each new level sorted by image tuple,
 so index 0 is always the identity and the ordering is reproducible.
+
+Orbits of index maps (conjugacy classes, soluble Omega(x) rows, the cosets
+of a cyclic subgroup) come from ``_orbits``; a quotient's cosets come from
+``coset_partition``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,30 @@ def _gather(cur: list[int], *tables: list[int]) -> list[int]:
 def _conjugation_by(inverse: list[int], right_c: list[int]) -> list[int]:
     """Conjugation by c from R_c: g -> g^-1 -> g^-1 c -> c^-1 g -> c^-1 g c."""
     return _gather(inverse, right_c, inverse, right_c)
+
+
+def _walk(orbit: list[int], maps: Sequence[list[int]], seen: bytearray) -> list[int]:
+    """Grow ``orbit``, whose members are marked in ``seen``, to its closure
+    under the index maps, marking each index it adds."""
+    for i in orbit:
+        for t in maps:
+            j = t[i]
+            if not seen[j]:
+                seen[j] = 1
+                orbit.append(j)
+    return orbit
+
+
+def _orbits(n: int, maps: Sequence[list[int]]) -> list[list[int]]:
+    """The orbits on 0..n-1 of the group the index maps generate, ordered by
+    their least index, each listing that index first."""
+    seen = bytearray(n)
+    orbits = []
+    for start in range(n):
+        if not seen[start]:
+            seen[start] = 1
+            orbits.append(_walk([start], maps, seen))
+    return orbits
 
 
 def bfs_closure(gens: Sequence[tuple[int, ...]], degree: int,
@@ -101,8 +129,6 @@ class StabilizerChain:
     def __init__(self, degree: int, gens: Iterable[tuple[int, ...]]):
         self.degree = degree
         self.levels: list[_Level] = []
-        # per level, x -> u itself; built by coset_key, dropped on growth
-        self._forward: list[dict[int, tuple[int, ...]]] | None = None
         ident = identity_tuple(degree)
         for g in gens:
             if g != ident:
@@ -126,19 +152,6 @@ class StabilizerChain:
         residue, _ = self.sift(p)
         return residue == identity_tuple(self.degree)
 
-    def coset_key(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        """The element of the right coset N·t with the least base images,
-        N the group of this chain; two elements share a key iff they share
-        a coset.  Level by level it moves the orbit point with the least
-        image under t onto the base point.  It needs each u itself, so the
-        first call inverts the transversals once and keeps them."""
-        if self._forward is None:
-            self._forward = [{x: inv(u_inv) for x, u_inv in lv.orbit.items()}
-                             for lv in self.levels]
-        for lv, forward in zip(self.levels, self._forward):
-            t = mul(forward[min(lv.orbit, key=t.__getitem__)], t)
-        return t
-
     def _insert(self, p: tuple[int, ...], first: int, last: int) -> None:
         """Install p as a strong generator at levels first..last, then re-close.
 
@@ -147,7 +160,6 @@ class StabilizerChain:
         skipping the intermediate levels breaks the subgroup-chain invariant
         the order computation relies on.
         """
-        self._forward = None
         for k in range(first, last + 1):
             if k == len(self.levels):
                 point = next(i for i in range(self.degree) if p[i] != i)
@@ -407,12 +419,9 @@ class FiniteGroup:
         inverse = self.inverse_table()
         return _gather(inverse, self.right_table(inverse[x]), inverse)
 
-    def conjugation_table(self, c: int) -> list[int]:
-        """``t[i]`` is the index of g_c^-1 g_i g_c: L_{c^-1}, then R_c."""
-        return _conjugation_by(self.inverse_table(), self.right_table(c))
-
     def conjugation_tables(self) -> list[list[int]]:
-        """``conjugation_table`` of each generator, in generator order."""
+        """Conjugation by each generator s, in generator order: ``t[i]`` is
+        the index of s^-1 g_i s, L_{s^-1} followed by R_s."""
         if self._conjugation_tables is None:
             right, inverse, _ = self._regular_tables()
             self._conjugation_tables = [_conjugation_by(inverse, r) for r in right]
@@ -421,30 +430,16 @@ class FiniteGroup:
     def _conjugacy_data(self) -> tuple[list[int], list[int], list[int]]:
         """Returns (rep indices, class sizes, class id per element).
 
-        Each class is walked from its representative by the conjugation
-        tables, so the walk only looks up element indices.
+        The classes are the ``_orbits`` of the conjugation tables, so each
+        representative is its class's least index.
         """
         if self._class_data is None:
-            n = self.order
-            tables = self.conjugation_tables()
-            class_of = [-1] * n
-            reps: list[int] = []
-            sizes: list[int] = []
-            for start in range(n):
-                if class_of[start] != -1:
-                    continue
-                cid = len(reps)
-                reps.append(start)
-                class_of[start] = cid
-                orbit = [start]
-                for i in orbit:
-                    for t in tables:
-                        j = t[i]
-                        if class_of[j] == -1:
-                            class_of[j] = cid
-                            orbit.append(j)
-                sizes.append(len(orbit))
-            self._class_data = (reps, sizes, class_of)
+            classes = _orbits(self.order, self.conjugation_tables())
+            class_of = [0] * self.order
+            for cid, members in enumerate(classes):
+                for i in members:
+                    class_of[i] = cid
+            self._class_data = ([c[0] for c in classes], [len(c) for c in classes], class_of)
         return self._class_data
 
     # -- series and predicates ------------------------------------------------
@@ -536,7 +531,8 @@ class FiniteGroup:
 
         Returns the quotient group and the projection homomorphism.
         Normality is verified by conjugating each subgroup generator by each
-        group generator.
+        group generator.  The cosets come from ``coset_partition``, so this
+        group's elements are listed and it must lie within the cap.
         """
         for ng in normal._gen_tuples:
             if not self.chain.contains(ng):
@@ -544,30 +540,26 @@ class FiniteGroup:
             for g in self._gen_tuples:
                 if not normal.chain.contains(_conj(ng, g)):
                     raise NotNormal("subgroup is not normal")
-        index = self.order // normal.order
-        if index > self.cap:
-            raise CapExceeded(f"index {index} exceeds cap {self.cap}")
-
-        # BFS over right cosets Ng in canonical generator order, each found
-        # by its key
-        key = normal.chain.coset_key
-        reps: list[tuple[int, ...]] = [identity_tuple(self.degree)]
-        coset_of = {key(reps[0]): 0}
+        elems = self.element_tuples()
+        part_of = {elems[i]: k for k, part in enumerate(self.coset_partition(normal))
+                   for i in part.members}
+        # number the right cosets Ng breadth-first from N (the first part),
+        # in canonical generator order
+        reps = [elems[0]]
+        number = {0: 0}
         for rep in reps:
             for g in self._gen_tuples:
                 t = mul(rep, g)
-                k = key(t)
-                if k not in coset_of:
-                    coset_of[k] = len(reps)
+                if part_of[t] not in number:
+                    number[part_of[t]] = len(reps)
                     reps.append(t)
-        assert len(reps) == index
 
         def project(p: Permutation) -> Permutation:
             self._require_member(p)
-            return Permutation(tuple(coset_of[key(mul(rep, p.images))] for rep in reps))
+            return Permutation(tuple(number[part_of[mul(rep, p.images)]] for rep in reps))
 
         quotient_group = FiniteGroup(
-            max(index, 1),
+            len(reps),
             [project(g) for g in self.generators],
             cap=self.cap,
             name=f"{self.name}/N" if self.name else None,

@@ -50,8 +50,8 @@ class Frozen:
 
 class Record:
     """Base of the records compared by value: two records of one class are
-    equal when their attributes are.  A record is unhashable, as a dataclass
-    with mutable fields is."""
+    equal when their attributes are.  A record is unhashable, since its
+    attributes may change."""
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -25,7 +25,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import GroupError, NotInGroup
-from .group import ElementSet, FiniteGroup
+from .group import ElementSet, FiniteGroup, _orbits
 from .perm import Permutation, identity_tuple, inv, mul, tuple_order, tuple_power
 from .util import Frozen, Record
 
@@ -191,28 +191,16 @@ class Transversal(Frozen):
         return hash((self.representatives,))
 
 
-def _coset_key(top: FiniteGroup, x: Permutation, g: Permutation) -> frozenset[int]:
-    """Index set of the left coset x<g>."""
-    members = set()
-    power = top.identity
-    while True:
-        members.add(top.index_of(x * power))
-        power = power * g
-        if power.is_identity():
-            return frozenset(members)
+def _left_cosets(top: FiniteGroup, g: Permutation) -> list[list[int]]:
+    """The left cosets x<g> as index lists: the orbits of g's right table
+    x -> xg, each listing its least index first."""
+    return _orbits(top.order, [top.right_table(top.index_of(g))])
 
 
 def canonical_transversal(top: FiniteGroup, g: Permutation) -> Transversal:
-    """Greedy sweep of the canonical enumeration: take x when its coset of
-    <g> is not yet represented.  Index 0 is the identity, so 1 is in T."""
-    seen: set[frozenset[int]] = set()
-    reps = []
-    for x in top.elements():
-        key = _coset_key(top, x, g)
-        if key not in seen:
-            seen.add(key)
-            reps.append(x)
-    return Transversal(tuple(reps), g)
+    """The least element of each left coset of <g> in the canonical
+    enumeration, in index order.  Index 0 is the identity, so 1 is in T."""
+    return Transversal(tuple(top.element_at(c[0]) for c in _left_cosets(top, g)), g)
 
 
 def shifted_transversal(top: FiniteGroup, g: Permutation, shift: int = 1) -> Transversal:
@@ -236,9 +224,11 @@ def random_transversal(top: FiniteGroup, g: Permutation, seed: int) -> Transvers
 
 
 def _check_transversal(level: WreathLevel, T: Transversal) -> None:
-    expected = level.top.order // T.g.order()
-    keys = {_coset_key(level.top, r, T.g) for r in T.representatives}
-    if len(T.representatives) != expected or len(keys) != expected:
+    top = level.top
+    cosets = _left_cosets(top, T.g)
+    coset_of = {i: k for k, coset in enumerate(cosets) for i in coset}
+    hit = {coset_of[top.index_of(r)] for r in T.representatives}
+    if len(T.representatives) != len(cosets) or len(hit) != len(cosets):
         raise GroupError("invalid transversal: wrong size or repeated coset")
 
 

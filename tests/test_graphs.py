@@ -14,7 +14,8 @@ from genprob.graphs import (
     components_and_diameters,
     quotient_graph_compatibility,
 )
-from genprob.probability import omega, omega_global
+from genprob.perm import Permutation
+from genprob.probability import omega, omega_global, prob_elem
 
 from conftest import catalog_group, conjugate_members, list_bfs, transporters
 
@@ -219,6 +220,21 @@ def test_bitset_search_matches_list_bfs(name, klass):
 
 
 class TestQuotientCompatibility:
+    @pytest.mark.parametrize("name, gens", [
+        ("S4", ["(1,2,3)", "(1,2)(3,4)"]),
+        ("S5", ["(1,2,3)", "(1,2,3,4,5)"]),
+    ], ids=["A4-empty-graph", "A5"])
+    def test_unnamed_subgroup_takes_the_probability_label(self, name, gens):
+        # an unnamed group is labelled alike in every report: A4's soluble
+        # graph is empty, A5's is not
+        G = catalog_group(name)
+        H = G.subgroup([Permutation.parse(c, G.degree) for c in gens])
+        assert H.name is None
+        label = f"group(degree={G.degree}, order={H.order})"
+        assert prob_elem(SOLUBLE, H, H.identity).group == label
+        assert components_and_diameters(build_graph(SOLUBLE, H)).group == label
+        assert quotient_graph_compatibility(H).group == label
+
     def test_c3xa5(self):
         report = quotient_graph_compatibility(catalog_group("C3xA5"))
         assert report.holds

@@ -17,7 +17,7 @@ from genprob import (
     parse_group_spec,
 )
 from genprob.catalog import load
-from genprob.group import StabilizerChain, _conj, bfs_closure, format_group_spec
+from genprob.group import _conj, _conjugation_by, bfs_closure, format_group_spec
 from genprob.perm import identity_tuple, inv, mul
 from genprob.probability import soluble_radical
 
@@ -119,6 +119,21 @@ class TestStructure:
         for s, t in zip(G._gen_tuples, tables):
             assert t == [G.index_of(_conj(g, s)) for g in elems]
 
+    @pytest.mark.parametrize("name", ["S5", "PSL27", "S3xA5"])
+    def test_conjugacy_data_matches_product_classes(self, name):
+        # oracle: each class {g^-1 x g} built by tuple products, taken in
+        # index order, so its first element is its least index
+        G = catalog_group(name)
+        elems = G.element_tuples()
+        reps, sizes, class_of = [], [], [None] * G.order
+        for i, x in enumerate(elems):
+            if class_of[i] is None:
+                members = {G.index_of(_conj(x, g)) for g in elems}
+                for j in members:
+                    class_of[j] = len(reps)
+                reps.append(i)
+                sizes.append(len(members))
+        assert G._conjugacy_data() == (reps, sizes, class_of)
 
     def test_derived_series_s4(self):
         assert [H.order for H in catalog_group("S4").derived_series()] == [24, 12, 4, 1]
@@ -178,7 +193,8 @@ class TestRegularTables:
         G = catalog_group(name)
         elems = G.element_tuples()
         for c, ct in enumerate(elems):
-            assert G.conjugation_table(c) == [G.index_of(_conj(g, ct)) for g in elems]
+            table = _conjugation_by(G.inverse_table(), G.right_table(c))
+            assert table == [G.index_of(_conj(g, ct)) for g in elems]
 
 
 class TestQuotients:
@@ -230,16 +246,26 @@ class TestQuotients:
         # chains of more than one level
         ("S4", lambda G: G.subgroup([P("(1,2,3)", 4), P("(1,2)(3,4)", 4)])),
         ("S5", lambda G: G.subgroup([P("(1,2,3)", 5), P("(1,2,3,4,5)", 5)])),
-    ], ids=["S4-V4", "D12-r2", "C3xA5-radical", "S4-A4", "S5-A5"])
+        # not normal: the right cosets still part the group
+        ("S4", lambda G: G.subgroup([P("(1,2)", 4)])),
+    ], ids=["S4-V4", "D12-r2", "C3xA5-radical", "S4-A4", "S5-A5", "S4-(12)"])
     def test_coset_key_matches_membership(self, name, normal):
-        # oracle: s and t lie in the same right coset of N iff s t^-1 is in N
+        # the key of an element is the number of its part in coset_partition,
+        # which quotient numbers its cosets from; oracle: s and t lie in the
+        # same right coset of N iff s t^-1 is in N
         G = catalog_group(name)
         N = normal(G)
         elems = G.element_tuples()
-        keys = [N.chain.coset_key(t) for t in elems]
-        assert len(set(keys)) == G.order // N.order > 1
+        parts = G.coset_partition(N)
+        assert len(parts) == G.order // N.order > 1
+        assert [min(p.members) for p in parts] == sorted(min(p.members) for p in parts)
+        assert sum(len(p) for p in parts) == G.order
+        keys = [None] * G.order
+        for k, part in enumerate(parts):
+            for i in part.members:
+                keys[i] = k
+        assert None not in keys
         for s, ks in zip(elems, keys):
-            assert N.chain.contains(mul(ks, inv(s)))
             for t, kt in zip(elems, keys):
                 assert (ks == kt) == N.chain.contains(mul(s, inv(t)))
 
@@ -307,7 +333,8 @@ def least_base_image_key(N, t):
 
 
 def test_quotient_of_c3xa5_matches_least_base_image_cosets():
-    # cosets found in generator order and named by the coset search's key
+    # cosets found in generator order, each named by its element with the
+    # least base images, a key independent of coset_partition
     G = catalog_group("C3xA5")
     R = soluble_radical(G).as_subgroup(name="R")
     Q, project = G.quotient(R)
@@ -322,32 +349,8 @@ def test_quotient_of_c3xa5_matches_least_base_image_cosets():
                 reps.append(t)
     assert Q.order == len(reps) == 60
     for t in G.element_tuples():
-        assert R.chain.coset_key(t) == least_base_image_key(R, t)
         assert project(Permutation(t)).images == tuple(
             coset_of[least_base_image_key(R, mul(rep, t))] for rep in reps)
-
-
-def test_coset_key_follows_chain_growth():
-    # coset_key keeps the transversals it inverts; a chain grown after a
-    # key was taken (as normal closures grow theirs) must key by the
-    # grown group
-    G = catalog_group("S5")
-    c3 = P("(1,2,3)", 5).images
-    chain = StabilizerChain(G.degree, [c3])
-
-    def least(members, t):
-        return min((mul(n, t) for n in members),
-                   key=lambda e: [e[lv.point] for lv in chain.levels])
-
-    t = P("(1,4)(2,5)", 5).images
-    assert chain.coset_key(t) == least(bfs_closure([c3], 5, 10), t)
-    A5 = G.normal_closure([Permutation(c3)])
-    for g in A5._gen_tuples:
-        if not chain.contains(g):
-            chain._insert(g, 0, 0)
-    assert chain.order() == 60
-    for t in G.element_tuples():
-        assert chain.coset_key(t) == least(A5.element_tuples(), t)
 
 
 class TestElementSet:

@@ -36,7 +36,7 @@ from genprob.probability import (
     verify_identities,
 )
 
-from conftest import catalog_group
+from conftest import catalog_group, run_python
 
 P = Permutation.parse
 
@@ -386,3 +386,28 @@ class TestCheckModule:
             genprob.probability.no_such_check
         with pytest.raises(AttributeError, match="no_such_check"):
             genprob.classes.no_such_check
+
+    def test_reports_are_value_records(self):
+        from genprob.checks import CheckReport, ClosureAuditReport
+
+        positional = CheckReport("law", True, {"a": 1})
+        assert positional == CheckReport(description="law", holds=True, details={"a": 1})
+        assert positional != CheckReport("law", False, {"a": 1})
+        # each report gets a dict of its own
+        empty = CheckReport("law", True)
+        empty.details["a"] = 1
+        assert CheckReport("law", True).details == {}
+        audit = ClosureAuditReport("soluble", 0, [])
+        assert audit.passed and audit == ClosureAuditReport("soluble", 0, [])
+        audit.checks += 1
+        audit.violations.append("x")
+        assert not audit.passed and (audit.checks, audit.class_name) == (1, "soluble")
+        report = genprob.checks.closure_audit(ABELIAN, [load("C4")], rounds=1)
+        assert report == ClosureAuditReport("abelian", report.checks, [])
+        assert report.checks == 3  # a subgroup, a quotient, C4 x C4
+
+    def test_check_module_leaves_dataclasses_unloaded(self):
+        result = run_python("import sys, genprob.checks\n"
+                            "print('dataclasses' in sys.modules)", timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"

@@ -229,6 +229,36 @@ class TestConstruction:
         with pytest.raises(GroupError):
             build_m(level, broken)
 
+    def test_transversal_with_a_repeated_coset_rejected(self, level, T):
+        # the right size, but two representatives in the left coset r<alpha>
+        reps = T.representatives
+        broken = type(T)(reps[:-1] + (reps[1] * ALPHA,), ALPHA)
+        assert len(broken.representatives) == 20
+        with pytest.raises(GroupError):
+            build_m(level, broken)
+
+    def test_transversal_outside_the_top_group_rejected(self, level, T):
+        broken = type(T)(T.representatives[:-1] + (P("(1,2)", 5),), ALPHA)
+        with pytest.raises(NotInGroup):
+            build_m(level, broken)
+
+
+@pytest.mark.parametrize("g", [ALPHA, BETA, P("(1,2)(3,4)", 5)],
+                         ids=["alpha", "beta", "involution"])
+def test_canonical_transversal_matches_product_cosets(g):
+    # oracle: the greedy sweep of the enumeration over the index sets of the
+    # left cosets x<g>, each built by Permutation products
+    top = alt5()
+    powers = [g ** k for k in range(g.order())]
+    seen, reps = set(), []
+    for x in top.elements():
+        coset = frozenset(top.index_of(x * c) for c in powers)
+        if coset not in seen:
+            seen.add(coset)
+            reps.append(x)
+    assert len(reps) == 60 // g.order()
+    assert canonical_transversal(top, g).representatives == tuple(reps)
+
 
 class TestVerification:
     def test_alpha_beta_generation(self):
