@@ -19,7 +19,7 @@ from .util import Frozen, Record
 __all__ = ["CatalogEntry", "entry", "load", "list_entries", "names"]
 
 
-class CatalogEntry(Frozen, Record):
+class CatalogEntry(Record, Frozen):
     def __init__(self, name: str, file: str, expected_order: int, tags: dict) -> None:
         if expected_order < 1:
             raise GroupError(f"entry {name}: expected order must be positive")

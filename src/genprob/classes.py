@@ -86,13 +86,8 @@ class GroupClass(Frozen):
                  fast_pair: Callable[[FiniteGroup, tuple, tuple], bool] | None = None) -> None:
         self.__dict__.update(name=name, predicate=predicate, fast_pair=fast_pair)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name, self.predicate) == (other.name, other.predicate)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.predicate))
+    def _key(self) -> tuple:
+        return (self.name, self.predicate)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import NoReturn
 import click
 
 from . import __version__
-from .catalog import list_entries, load
+from .catalog import list_entries, load, names
 from .classes import BUILTIN_CLASSES, SOLUBLE, class_by_name
 from .errors import GroupError
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
@@ -95,8 +95,11 @@ def _rational(favorable: int, total: int) -> dict:
 
 
 def _load_group(source: str, cap: int) -> FiniteGroup:
+    # a catalog name stays one unless a file of that name exists; any other
+    # name ending in .grp, or naming an existing path, is read as a file
     path = Path(source)
-    if path.suffix == ".grp" or path.exists():
+    if path.is_file() or (source not in names()
+                          and (path.suffix == ".grp" or path.exists())):
         try:
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:

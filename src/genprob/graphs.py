@@ -141,14 +141,20 @@ def build_graph(C: GroupClass, G: FiniteGroup) -> ClassGraph:
 
 class GraphReport(Record):
     def __init__(self, group: str, class_name: str, vertex_count: int,
-                 components: list[dict] | None = None,
-                 max_diameter: int | None = None, connected: bool = False) -> None:
+                 components: list[dict]) -> None:
         self.group = group
         self.class_name = class_name
         self.vertex_count = vertex_count
-        self.components = [] if components is None else components  # {label, size, diameter}
-        self.max_diameter = max_diameter
-        self.connected = connected
+        self.components = components  # {label, size, diameter}
+
+    @property
+    def connected(self) -> bool:
+        return len(self.components) == 1
+
+    @property
+    def max_diameter(self) -> int | None:
+        """The largest component diameter; None for the empty graph."""
+        return max((c["diameter"] for c in self.components), default=None)
 
     def to_json(self) -> dict:
         return {
@@ -185,9 +191,8 @@ def components_and_diameters(graph: ClassGraph) -> GraphReport:
     Singleton components have diameter 0.
     """
     G = graph.group
-    report = GraphReport(_group_label(G), graph.class_name, len(graph.vertices.members))
+    report = GraphReport(_group_label(G), graph.class_name, len(graph.vertices.members), [])
     if graph.is_empty:
-        report.connected = False
         return report
 
     vertex_set = graph.vertices.members
@@ -219,17 +224,18 @@ def components_and_diameters(graph: ClassGraph) -> GraphReport:
         report.components.append(
             {"label": members[0], "size": len(members), "diameter": diameter}
         )
-    report.connected = len(component_members) == 1
-    report.max_diameter = max(c["diameter"] for c in report.components)
     return report
 
 
 class CompatibilityReport(NamedTuple):
     group: str
-    holds: bool
     graph_diameter: int | None
     quotient_diameter: int | None
     mismatches: int
+
+    @property
+    def holds(self) -> bool:
+        return self.mismatches == 0 and self.graph_diameter == self.quotient_diameter
 
 
 def quotient_graph_compatibility(G: FiniteGroup) -> CompatibilityReport:
@@ -253,15 +259,9 @@ def quotient_graph_compatibility(G: FiniteGroup) -> CompatibilityReport:
         downstairs = {w for w, iw in image.items() if w > v and iw in near}
         mismatches += len(upstairs ^ downstairs)
 
-    if graph_G.is_empty:
-        return CompatibilityReport(_group_label(G), mismatches == 0, None, None, mismatches)
-
-    diam_G = components_and_diameters(graph_G).max_diameter
-    diam_Q = components_and_diameters(graph_Q).max_diameter
     return CompatibilityReport(
         _group_label(G),
-        mismatches == 0 and diam_G == diam_Q,
-        diam_G,
-        diam_Q,
+        components_and_diameters(graph_G).max_diameter,
+        components_and_diameters(graph_Q).max_diameter,
         mismatches,
     )

@@ -486,13 +486,12 @@ class FiniteGroup:
         series = [ElementSet(self, current)]
         while True:
             members = set()
-            in_current = current
             for i, t in enumerate(elems):
                 ti = inv(t)
                 ok = True
                 for gi, g in gens:
                     c = mul(mul(ti, gi), mul(t, g))
-                    if self.index_of(c) not in in_current:
+                    if self.index_of(c) not in current:
                         ok = False
                         break
                 if ok:
@@ -503,9 +502,6 @@ class FiniteGroup:
             series.append(ElementSet(self, nxt))
             current = nxt
         return series
-
-    def hypercenter(self) -> "ElementSet":
-        return self.upper_central_series()[-1]
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -602,13 +598,8 @@ class ElementSet(Frozen):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "members", members)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is ElementSet:
-            return self.members == other.members
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.members,))
+    def _key(self) -> tuple:
+        return (self.members,)
 
     def __reduce__(self):
         return ElementSet, (self.group, self.members)

@@ -109,13 +109,8 @@ class Permutation(Frozen):
             raise ValueError("images are not a bijection of {0..%d}" % (n - 1))
         object.__setattr__(self, "images", images)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is Permutation:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
+    def _key(self) -> tuple:
+        return (self.images,)
 
     def __lt__(self, other) -> bool:
         if other.__class__ is Permutation:

@@ -207,7 +207,7 @@ def hypercenter(G: FiniteGroup) -> ElementSet:
     """Final term of the upper central series."""
     if G.is_nilpotent:
         return ElementSet(G, frozenset(range(G.order)))
-    return G.hypercenter()
+    return G.upper_central_series()[-1]
 
 
 def center(G: FiniteGroup) -> ElementSet:

@@ -122,15 +122,22 @@ def prob_sequence(C: GroupClass, tower: QuotientTower, track: str) -> list[Fract
 
 class MonotonicityReport(Record):
     def __init__(self, tower: str, class_name: str, track: str, sequence: list[Fraction],
-                 monotone: bool, violations: list[int] | None = None,
-                 sequence_with_orders: list[tuple[int, Fraction]] | None = None) -> None:
+                 orders: list[int]) -> None:
         self.tower = tower
         self.class_name = class_name
         self.track = track
         self.sequence = sequence
-        self.monotone = monotone
-        self.violations = [] if violations is None else violations
-        self.sequence_with_orders = [] if sequence_with_orders is None else sequence_with_orders
+        self.orders = orders  # the group order per level
+
+    @property
+    def violations(self) -> list[int]:
+        """The levels k whose successor's probability exceeds theirs."""
+        seq = self.sequence
+        return [k for k in range(len(seq) - 1) if seq[k + 1] > seq[k]]
+
+    @property
+    def monotone(self) -> bool:
+        return not self.violations
 
     @property
     def inf_upper_bound(self) -> Fraction:
@@ -143,7 +150,7 @@ class MonotonicityReport(Record):
             "track": self.track,
             "levels": [
                 {"order": order, "probability": {"num": q.numerator, "den": q.denominator}}
-                for order, q in self.sequence_with_orders
+                for order, q in zip(self.orders, self.sequence)
             ],
             "monotone": self.monotone,
             "inf_upper_bound": {
@@ -158,13 +165,9 @@ def monotonicity_report(
 ) -> MonotonicityReport:
     """Certify the sequence is non-increasing (a violation flags an engine
     bug, since consecutive levels are quotients of each other)."""
-    seq = prob_sequence(C, tower, track)
-    violations = [
-        k for k in range(len(seq) - 1) if seq[k + 1] > seq[k]
-    ]
     return MonotonicityReport(
-        tower.name, C.name, track, seq, not violations, violations,
-        [(G.order, q) for G, q in zip(tower.levels, seq)],
+        tower.name, C.name, track, prob_sequence(C, tower, track),
+        [G.order for G in tower.levels],
     )
 
 

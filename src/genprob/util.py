@@ -37,9 +37,21 @@ def pi_part(n: int, primes: Iterable[int]) -> int:
 class Frozen:
     """Base of the immutable classes.  ``__init__`` sets the attributes
     through ``object.__setattr__``, or the instance ``__dict__`` where there
-    is one; any later assignment or deletion raises ``AttributeError``."""
+    is one; any later assignment or deletion raises ``AttributeError``.
+
+    Each subclass supplies ``_key()``, a tuple of its value: two instances
+    of one class are equal when their keys are, and the hash is that of the
+    key.  Attributes left out of the key take part in neither."""
 
     __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

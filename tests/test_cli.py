@@ -54,6 +54,25 @@ class TestAnalyze:
         assert report["group_order"] == 4
         assert report["prob_group"] == {"num": 1, "den": 1}
 
+    def test_directory_does_not_hide_a_catalog_group(self, runner, tmp_path, monkeypatch):
+        # a directory named like a catalog group in the working directory
+        # is not a group file
+        (tmp_path / "S4").mkdir()
+        monkeypatch.chdir(tmp_path)
+        args = ["analyze", "--group", "S4", "--class", "soluble"]
+        result, report = run_json(runner, args)
+        assert result.exit_code == 0
+        assert report["group_order"] == 24
+        monkeypatch.chdir(tmp_path.parent)
+        assert runner.invoke(main, args).output == result.output
+
+    def test_file_named_like_a_catalog_group_is_read(self, runner, tmp_path, monkeypatch):
+        (tmp_path / "S4").write_text("degree 4\n(1,2)(3,4)\n(1,3)(2,4)\n")
+        monkeypatch.chdir(tmp_path)
+        result, report = run_json(runner, ["analyze", "--group", "S4", "--class", "abelian"])
+        assert result.exit_code == 0
+        assert report["group_order"] == 4
+
     def test_parse_error_has_line_number(self, runner, tmp_path):
         spec = tmp_path / "bad.grp"
         spec.write_text("degree 4\n(1,9)\n")
@@ -193,6 +212,10 @@ class TestInputErrors:
 
     def test_directory_as_group(self, runner, tmp_path):
         assert "Is a directory" in self.analyze(runner, str(tmp_path))
+
+    def test_missing_group_file(self, runner, tmp_path):
+        stderr = self.analyze(runner, str(tmp_path / "x.grp"))
+        assert "cannot read group file" in stderr
 
     def test_malformed_group_file(self, runner, tmp_path):
         spec = tmp_path / "bad.grp"

@@ -75,7 +75,9 @@ class TestBuild:
         assert g.is_empty
         report = components_and_diameters(g)
         assert report.vertex_count == 0
-        assert not report.connected
+        assert report.connected is False
+        assert report.components == []
+        assert report.max_diameter is None
 
     def test_adjacency_matches_pair_test(self):
         G = catalog_group("A5")
@@ -240,6 +242,14 @@ class TestQuotientCompatibility:
         assert report.holds
         assert report.mismatches == 0
         assert report.graph_diameter == report.quotient_diameter
+
+    def test_soluble_group_compares_two_empty_graphs(self):
+        # S4 is soluble: its radical is S4, and both graphs are empty
+        report = quotient_graph_compatibility(catalog_group("S4"))
+        assert report.holds
+        assert report.mismatches == 0
+        assert report.graph_diameter is None
+        assert report.quotient_diameter is None
 
     def test_insoluble_with_trivial_radical_is_self_compatible(self):
         report = quotient_graph_compatibility(catalog_group("A5"))

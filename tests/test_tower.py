@@ -5,6 +5,7 @@ import pytest
 from genprob import CapExceeded, GroupError, Permutation
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE
 from genprob.tower import (
+    MonotonicityReport,
     QuotientTower,
     dihedral_tower,
     monotonicity_report,
@@ -118,6 +119,22 @@ class TestSequences:
             "order": 6, "probability": {"num": 1, "den": 3}
         }
         assert payload["inf_upper_bound"] == {"num": 1, "den": 81}
+
+    def test_one_level_tower_is_monotone(self):
+        report = monotonicity_report(NILPOTENT, dihedral_tower(3, 1), "x")
+        assert report.violations == []
+        assert report.monotone
+        assert report.to_json()["levels"] == [
+            {"order": 6, "probability": {"num": 1, "den": 3}}
+        ]
+
+    def test_violations_are_read_from_the_sequence(self):
+        seq = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)]
+        report = MonotonicityReport("t", "nilpotent", "x", seq, [2, 4, 8, 16])
+        assert report.violations == [1]
+        assert not report.monotone
+        assert report.to_json()["monotone"] is False
+        assert [lv["order"] for lv in report.to_json()["levels"]] == [2, 4, 8, 16]
 
 
 class TestVerdicts:

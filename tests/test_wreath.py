@@ -6,6 +6,7 @@ from genprob import GroupError, NotInGroup, Permutation
 from genprob.wreath import (
     ALPHA,
     BETA,
+    GenerationReport,
     Transversal,
     WreathElement,
     WreathLevel,
@@ -266,6 +267,11 @@ class TestVerification:
         assert report.checks == 60
         assert report.passed == 60
         assert report.all_passed
+        assert len(report.generating) == 60 and report.failures == []
+        # the counts are read from the entries
+        failed = GenerationReport(set(report.generating), ["u=(1,2,3): order 12"])
+        assert (failed.checks, failed.passed) == (61, 60)
+        assert not failed.all_passed
 
     def test_negative_control_three_cycle(self):
         # replacing beta by a 3-cycle must break generation for some u:
