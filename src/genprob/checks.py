@@ -206,8 +206,9 @@ def hall_bound_check(
     )
     bound = Fraction(centralizer_size, Q.order)
 
-    uQ = G.right_coset(Q, u)
-    vQ = G.right_coset(Q, v)
+    # Q is normal, so uQ = Qu: the part of the coset partition holding u
+    parts = G.coset_partition(Q)
+    uQ, vQ = (next(p for p in parts if x in p) for x in (u, v))
     lhs = prob_sets(NILPOTENT, G, uQ, vQ).probability
     return CheckReport(
         f"hall bound on {_group_label(G)}",

@@ -31,9 +31,9 @@ constructing the subgroup where a cheap criterion exists:
   Sym(4).  A longer one is insoluble when it is primitive and k is not a
   prime power, or, at prime-power k, when it is primitive and a power of
   x', y', x'y' or x'y'^-1 is a witness of Jordan's or Galois' theorem.
-  Only the rest get a stabilizer chain of degree k: its order settles the
-  question when it is below 60, odd, or has at most two prime divisors, and
-  its derived series settles what is left.
+  Only the rest get a stabilizer chain of degree k, whose ``is_soluble``
+  settles the question: by its order when that is below 60, odd, or has at
+  most two prime divisors, and by its derived series otherwise.
 
 Every fast test is property-checked against the plain
 ``predicate(subgroup(x, y))`` route in the test suite.
@@ -73,8 +73,6 @@ __all__ = [
     "closure_audit",
     "ClosureAuditReport",
 ]
-
-_SMALLEST_INSOLUBLE = 60  # |Alt(5)|; every group below this order is soluble
 
 
 class GroupClass(Frozen):
@@ -136,12 +134,6 @@ def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
         if span is None or pi_part(len(span), (p,)) != len(span):
             return False
     return True
-
-
-def _order_forces_soluble(n: int) -> bool:
-    """Orders that admit no insoluble group: odd (Feit-Thompson) or with at
-    most two prime divisors (Burnside)."""
-    return n < _SMALLEST_INSOLUBLE or n % 2 == 1 or len(prime_factors(n)) <= 2
 
 
 def _relabel(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tuple], list[int]]:
@@ -249,11 +241,9 @@ def _soluble_restriction(G: FiniteGroup, xr: tuple, yr: tuple) -> bool:
         return True
     if _certified_insoluble(xr, yr):
         return False
-    # the chain gives the order without listing elements; the derived
-    # series runs only when the order leaves the answer open
+    # the chain gives the order without listing elements, and is_soluble
+    # runs the derived series only when the order leaves the answer open
     sub = FiniteGroup(len(xr), [Permutation(xr), Permutation(yr)], cap=G.cap)
-    if _order_forces_soluble(sub.order):
-        return True
     # a restriction as large as G forces <x, y> = G and a faithful restriction
     if sub.order == G.order:
         return G.is_soluble

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import sys
-from math import gcd
 from pathlib import Path
 from typing import NoReturn
 
@@ -31,6 +30,7 @@ from .classes import BUILTIN_CLASSES, SOLUBLE, class_by_name
 from .errors import GroupError
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
 from .probability import omega_global, prob_elem, prob_group, verify_identities
+from .util import rational
 
 # graphs, tower and wreath are imported inside the subcommands that use
 # them, and csv inside the csv branch of _emit, so a command that does not
@@ -86,12 +86,6 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except GroupError as exc:
             _refuse(str(exc))
-
-
-def _rational(favorable: int, total: int) -> dict:
-    """favorable/total in lowest terms, as ``Fraction`` would reduce it."""
-    d = gcd(favorable, total)
-    return {"num": favorable // d, "den": total // d}
 
 
 def _load_group(source: str, cap: int) -> FiniteGroup:
@@ -184,7 +178,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
         per_rep.append({
             "representative": str(rep),
             "class_size": size,
-            "probability": _rational(p.favorable, p.total),
+            "probability": rational(p.favorable, p.total),
         })
     whole = prob_group(C, G)
     core = omega_global(C, G)
@@ -197,7 +191,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
     report.update({
         "group_order": G.order,
         "per_class_representative": per_rep,
-        "prob_group": _rational(whole.favorable, whole.total),
+        "prob_group": rational(whole.favorable, whole.total),
         "prob_group_method": whole.method,
         "omega_global_size": len(core),
         "identities": identities.results,
@@ -331,7 +325,8 @@ SELFTEST_GROUPS = ("S3", "A4", "D12", "Q8", "SL23", "S4", "A5")
 def selftest(seed: int, fmt: str) -> None:
     """Deterministic identity and graph suite over a fixed group sample.
 
-    The same seed yields byte-identical output.
+    The suite draws nothing at random: ``--seed`` is only echoed in the
+    report and changes no check.
     """
     from .graphs import build_graph, components_and_diameters
 

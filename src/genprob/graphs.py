@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 # pair_in_group is not called here; the benchmark's tracer tests check that
 # this import site of it gets wrapped, so the name stays bound
-from .classes import GroupClass, pair_in_group
+from .classes import SOLUBLE, GroupClass, pair_in_group
 from .group import ElementSet, FiniteGroup
 from .probability import _group_label, omega, omega_global, soluble_radical
 from .util import Record
@@ -115,10 +115,11 @@ def build_graph(C: GroupClass, G: FiniteGroup) -> ClassGraph:
     core = omega_global(C, G)
     n = G.order
     vertex_set = frozenset(range(n)) - core.members
-    reps, _, class_of = G._conjugacy_data()
+    reps = G._conjugacy_data()[0]
     tables = G.conjugation_tables()
     rows = [0] * n
-    for r in sorted({reps[class_of[v]] for v in vertex_set}):
+    # the vertex set is a union of classes: these are its representatives
+    for r in [r for r in reps if r in vertex_set]:
         row = omega(C, G, G.element_at(r)).members
         # member lists of the rows whose class neighbours are not yet moved
         pending = {r: list((row & vertex_set) - {r})}
@@ -188,7 +189,8 @@ def components_and_diameters(graph: ClassGraph) -> GraphReport:
     search runs from representatives only; a component's diameter is the
     maximum of those eccentricities over its vertices; a component search
     that starts at a representative is not repeated for its eccentricity.
-    Singleton components have diameter 0.
+    An isolated vertex's representative is isolated too, so a singleton
+    component has diameter 0.
     """
     G = graph.group
     report = GraphReport(_group_label(G), graph.class_name, len(graph.vertices.members), [])
@@ -209,18 +211,13 @@ def components_and_diameters(graph: ClassGraph) -> GraphReport:
         if reps[class_of[v]] == v:
             eccentricities[v] = eccentricity
 
-    # representatives of vertex classes are themselves vertices: the vertex
-    # set is closed under conjugation
-    for r in sorted({reps[class_of[v]] for v in vertex_set}):
+    # the vertex set is a union of classes: these are its representatives
+    for r in [r for r in reps if r in vertex_set]:
         if r not in eccentricities:
             eccentricities[r] = _search(graph, r)[1]
 
     for members in component_members:
-        diameter = (
-            0
-            if len(members) == 1
-            else max(eccentricities[reps[class_of[v]]] for v in members)
-        )
+        diameter = max(eccentricities[reps[class_of[v]]] for v in members)
         report.components.append(
             {"label": members[0], "size": len(members), "diameter": diameter}
         )
@@ -241,8 +238,6 @@ class CompatibilityReport(NamedTuple):
 def quotient_graph_compatibility(G: FiniteGroup) -> CompatibilityReport:
     """Adjacency in the soluble graph of G matches adjacency of images in the
     soluble graph of G modulo its soluble radical, and the diameters agree."""
-    from .classes import SOLUBLE
-
     quotient, project = G.quotient(soluble_radical(G).as_subgroup(name="R"))
 
     graph_G = build_graph(SOLUBLE, G)

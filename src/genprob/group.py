@@ -9,9 +9,9 @@ The canonical element enumeration is a breadth-first closure from the
 generators in fixed generator order, each new level sorted by image tuple,
 so index 0 is always the identity and the ordering is reproducible.
 
-Orbits of index maps (conjugacy classes, soluble Omega(x) rows, the cosets
-of a cyclic subgroup) come from ``_orbits``; a quotient's cosets come from
-``coset_partition``.
+Orbits of index maps come from ``_orbits``: conjugacy classes, soluble
+Omega(x) rows, the left cosets of a cyclic subgroup, and the right cosets of
+any subgroup (``coset_partition``, under ``quotient``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, ParseError
-from .perm import Permutation, identity_tuple, inv, mul
-from .util import Frozen
+from .perm import Permutation, conj, identity_tuple, inv, mul
+from .util import Frozen, prime_factors
 
 __all__ = [
     "FiniteGroup",
@@ -37,9 +37,13 @@ __all__ = [
 
 DEFAULT_MATERIALIZATION_CAP = 100_000
 
+_SMALLEST_INSOLUBLE = 60  # |Alt(5)|; every group below this order is soluble
 
-def _conj(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    return mul(mul(inv(g), x), g)
+
+def _order_forces_soluble(n: int) -> bool:
+    """Orders that admit no insoluble group: odd (Feit-Thompson) or with at
+    most two prime divisors (Burnside)."""
+    return n < _SMALLEST_INSOLUBLE or n % 2 == 1 or len(prime_factors(n)) <= 2
 
 
 def _comm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -342,7 +346,7 @@ class FiniteGroup:
         while worklist:
             t = worklist.pop()
             for g in self._gen_tuples:
-                c = _conj(t, g)
+                c = conj(t, g)
                 if not chain.contains(c):
                     closure_gens.append(c)
                     worklist.append(c)
@@ -516,7 +520,9 @@ class FiniteGroup:
 
     @cached_property
     def is_soluble(self) -> bool:
-        return self.derived_series()[-1].order == 1
+        """The order decides it when it admits no insoluble group; otherwise
+        the derived series does."""
+        return _order_forces_soluble(self.order) or self.derived_series()[-1].order == 1
 
     # -- quotients ---------------------------------------------------------------
 
@@ -530,11 +536,13 @@ class FiniteGroup:
         group generator.  The cosets come from ``coset_partition``, so this
         group's elements are listed and it must lie within the cap.
         """
+        if normal.degree != self.degree:
+            raise DegreeMismatch(f"subgroup degree {normal.degree} is not {self.degree}")
         for ng in normal._gen_tuples:
             if not self.chain.contains(ng):
                 raise NotInGroup("subgroup is not contained in the group")
             for g in self._gen_tuples:
-                if not normal.chain.contains(_conj(ng, g)):
+                if not normal.chain.contains(conj(ng, g)):
                     raise NotNormal("subgroup is not normal")
         elems = self.element_tuples()
         part_of = {elems[i]: k for k, part in enumerate(self.coset_partition(normal))
@@ -564,25 +572,13 @@ class FiniteGroup:
 
     # -- cosets --------------------------------------------------------------------
 
-    def right_coset(self, sub: "FiniteGroup", rep: Permutation) -> "ElementSet":
-        """The coset (sub)·rep as an element set of this group."""
-        self._require_member(rep)
-        members = frozenset(
-            self.index_of(mul(t, rep.images)) for t in sub.element_tuples()
-        )
-        return ElementSet(self, members)
-
     def coset_partition(self, sub: "FiniteGroup") -> list["ElementSet"]:
-        """Partition of the group into right cosets of ``sub``, in index order."""
-        covered: set[int] = set()
-        parts = []
-        for i, t in enumerate(self.element_tuples()):
-            if i in covered:
-                continue
-            coset = self.right_coset(sub, Permutation(t))
-            covered |= coset.members
-            parts.append(coset)
-        return parts
+        """Partition of the group into right cosets of ``sub``, in index
+        order.  The coset Ng is the orbit of g under left multiplication by
+        N, so the cosets are the ``_orbits`` of the left tables of the
+        generators of ``sub``, which must lie in this group."""
+        tables = [self.left_table(self.index_of(t)) for t in sub._gen_tuples]
+        return [ElementSet(self, frozenset(c)) for c in _orbits(self.order, tables)]
 
 
 class ElementSet(Frozen):

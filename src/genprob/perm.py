@@ -20,7 +20,7 @@ from .errors import DegreeMismatch, ParseError
 from .util import Frozen, pi_part
 
 __all__ = [
-    "Permutation", "mul", "inv", "identity_tuple", "tuple_order", "tuple_power",
+    "Permutation", "mul", "inv", "conj", "identity_tuple", "tuple_order", "tuple_power",
     "prime_component",
 ]
 
@@ -47,6 +47,11 @@ def inv(p: tuple[int, ...]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def conj(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of x conjugated by g: g^-1, then x, then g."""
+    return mul(mul(inv(g), x), g)
 
 
 def tuple_order(p: tuple[int, ...]) -> int:
@@ -143,7 +148,11 @@ class Permutation(Frozen):
     def __pow__(self, k: int) -> "Permutation":
         if isinstance(k, Permutation):
             # x ** g is conjugation g^-1 x g
-            return k.inverse() * self * k
+            if len(self.images) != len(k.images):
+                raise DegreeMismatch(
+                    f"cannot conjugate degree {self.degree} by degree {k.degree}"
+                )
+            return Permutation(conj(self.images, k.images))
         base = self.images if k >= 0 else inv(self.images)
         return Permutation(tuple_power(base, abs(k)))
 

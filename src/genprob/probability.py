@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .classes import GroupClass, pair_in_group, pair_row
+from .classes import ABELIAN, NILPOTENT, SOLUBLE, GroupClass, pair_in_group, pair_row
 from .errors import EmptySet, NotInGroup
 from .group import ElementSet, FiniteGroup
 from .perm import Permutation
@@ -230,8 +230,6 @@ def verify_identities(G: FiniteGroup) -> IdentityReport:
     omega_global(soluble) = soluble radical, omega_global(nilpotent) =
     hypercenter, omega_global(abelian) = center.
     """
-    from .classes import ABELIAN, NILPOTENT, SOLUBLE
-
     report = IdentityReport(_group_label(G))
     for name, C, oracle in (
         ("soluble_radical", SOLUBLE, soluble_radical),

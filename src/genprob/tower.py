@@ -18,7 +18,7 @@ from .errors import CapExceeded, GroupError
 from .group import DEFAULT_MATERIALIZATION_CAP, ElementSet, FiniteGroup
 from .perm import Permutation
 from .probability import hypercenter, omega_global, prob_elem, soluble_radical
-from .util import Record, prime_factors
+from .util import Record, prime_factors, rational
 
 __all__ = [
     "QuotientTower",
@@ -149,14 +149,12 @@ class MonotonicityReport(Record):
             "class": self.class_name,
             "track": self.track,
             "levels": [
-                {"order": order, "probability": {"num": q.numerator, "den": q.denominator}}
+                {"order": order, "probability": rational(q.numerator, q.denominator)}
                 for order, q in zip(self.orders, self.sequence)
             ],
             "monotone": self.monotone,
-            "inf_upper_bound": {
-                "num": self.inf_upper_bound.numerator,
-                "den": self.inf_upper_bound.denominator,
-            },
+            "inf_upper_bound": rational(self.inf_upper_bound.numerator,
+                                        self.inf_upper_bound.denominator),
         }
 
 

@@ -1,8 +1,9 @@
-"""Small shared helpers: number theory, and the two bases the package's
-value classes and result records are built on."""
+"""Small shared helpers: number theory, the reports' rationals, and the two
+bases the package's value classes and result records are built on."""
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable
 
 
@@ -32,6 +33,13 @@ def pi_part(n: int, primes: Iterable[int]) -> int:
             part *= p
             n //= p
     return part
+
+
+def rational(num: int, den: int) -> dict[str, int]:
+    """num/den in lowest terms, as ``Fraction`` would reduce it, rendered
+    ``{"num": ..., "den": ...}``."""
+    d = gcd(num, den)
+    return {"num": num // d, "den": den // d}
 
 
 class Frozen:

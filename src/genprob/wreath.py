@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import GroupError, NotInGroup
 from .group import ElementSet, FiniteGroup, _orbits
-from .perm import Permutation, identity_tuple, inv, mul, tuple_order, tuple_power
+from .perm import Permutation, conj, identity_tuple, inv, mul, tuple_order, tuple_power
 from .util import Frozen, Record
 
 __all__ = [
@@ -129,7 +129,7 @@ class WreathLevel(Frozen):
         return WreathElement(tuple_power(images, abs(k)), self)
 
     def conjugate(self, w: "WreathElement", rho: "WreathElement") -> "WreathElement":
-        return WreathElement(mul(mul(inv(rho.images), w.images), rho.images), self)
+        return WreathElement(conj(w.images, rho.images), self)
 
     def element_order(self, a: "WreathElement") -> int:
         return tuple_order(a.images)

@@ -1,6 +1,7 @@
 import pytest
 
 from genprob import GroupError, UnknownName
+import genprob.catalog as catalog
 from genprob.catalog import CatalogEntry, entry, list_entries, load, names
 
 from conftest import catalog_group, catalog_names
@@ -41,6 +42,14 @@ class TestManifest:
         for order in (0, -4):
             with pytest.raises(GroupError, match="expected order must be positive"):
                 CatalogEntry("C4", "groups/C4.grp", order, tags)
+
+    def test_order_drift_from_the_manifest_refused(self, monkeypatch):
+        # generators that no longer give the manifest's order are refused
+        real = entry("S4")
+        drifted = CatalogEntry(real.name, real.file, 25, real.tags)
+        monkeypatch.setattr(catalog, "entry", lambda name: drifted)
+        with pytest.raises(GroupError, match="yield order 24, manifest says 25"):
+            load("S4")
 
 
 class TestLoad:

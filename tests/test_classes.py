@@ -26,11 +26,11 @@ from genprob.classes import (
     _certified_insoluble,
     _is_primitive,
     _nilpotent_pair,
-    _order_forces_soluble,
     _prime_parts,
     _relabel,
 )
 from genprob.errors import NotInGroup
+from genprob.group import _order_forces_soluble
 from genprob.perm import identity_tuple, inv, mul, prime_component, tuple_order
 from genprob.probability import prob_group, verify_identities
 from genprob.tower import dihedral_tower
@@ -77,6 +77,19 @@ class TestPredicates:
             assert not _order_forces_soluble(catalog_group(name).order)
         for n in (1, 59, 105, 256, 72, 2187):
             assert _order_forces_soluble(n)
+
+    def test_order_decides_is_soluble_without_a_derived_series(self, monkeypatch):
+        def refuse(group):
+            raise AssertionError(f"derived series of {group!r}")
+
+        monkeypatch.setattr(FiniteGroup, "derived_series", refuse)
+        # fresh groups, since is_soluble is cached per group: orders 24, 48,
+        # 105 and 486 decide it, and 120 leaves it to the derived series
+        C105 = FiniteGroup(15, [P("(1,2,3)(4,5,6,7,8)", 15), P("(9,10,11,12,13,14,15)", 15)])
+        for G in (load("S4"), load("Q8xS3"), C105, dihedral_tower(3, 5).levels[-1]):
+            assert G.is_soluble
+        with pytest.raises(AssertionError, match="derived series"):
+            load("S5").is_soluble
 
 
 class TestPairTest:

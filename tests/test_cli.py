@@ -222,15 +222,18 @@ class TestInputErrors:
         spec.write_text("degree 4\n(1,2,\n")
         assert "line 2" in self.analyze(runner, str(spec))
 
-    @pytest.mark.parametrize("header, message", [
-        ("degree ²", "Error: line 1: expected 'degree N' header"),
-        ("degree 1000000000000", "Error: degree 1000000000000 exceeds cap 100000"),
-    ], ids=["superscript-digit", "over-cap"])
-    def test_bad_degree_header(self, tmp_path, header, message):
+    @pytest.mark.parametrize("text, message", [
+        ("degree ²\n(1,2)\n", "Error: line 1: expected 'degree N' header"),
+        ("degree 1000000000000\n(1,2)\n", "Error: degree 1000000000000 exceeds cap 100000"),
+        ("degree 0\n(1,2)\n", "Error: line 1: degree must be positive"),
+        ("degree -3\n(1,2)\n", "Error: line 1: degree must be positive"),
+        ("# comments only\n", "Error: line 1: missing 'degree N' header"),
+    ], ids=["superscript-digit", "over-cap", "zero", "negative", "comment-only"])
+    def test_bad_degree_header(self, tmp_path, text, message):
         # '²' passes str.isdigit but not int, and a degree past the cap
         # would build a list of that many points for each generator
         spec = tmp_path / "bad.grp"
-        spec.write_text(f"{header}\n(1,2)\n", encoding="utf-8")
+        spec.write_text(text, encoding="utf-8")
         result = run_python(
             "from genprob.cli import main; main()", "analyze", "--group", str(spec),
             "--class", "abelian", timeout=20)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from genprob import (
     CapExceeded,
+    DegreeMismatch,
     ElementSet,
     FiniteGroup,
     NotInGroup,
@@ -17,8 +18,8 @@ from genprob import (
     parse_group_spec,
 )
 from genprob.catalog import load
-from genprob.group import _conj, _conjugation_by, bfs_closure, format_group_spec
-from genprob.perm import identity_tuple, inv, mul
+from genprob.group import _conjugation_by, bfs_closure, format_group_spec
+from genprob.perm import conj, identity_tuple, inv, mul
 from genprob.probability import soluble_radical
 
 from conftest import catalog_group, catalog_names, conjugate_members, transporters
@@ -117,7 +118,7 @@ class TestStructure:
         tables = G.conjugation_tables()
         assert len(tables) == len(G.generators)
         for s, t in zip(G._gen_tuples, tables):
-            assert t == [G.index_of(_conj(g, s)) for g in elems]
+            assert t == [G.index_of(conj(g, s)) for g in elems]
 
     @pytest.mark.parametrize("name", ["S5", "PSL27", "S3xA5"])
     def test_conjugacy_data_matches_product_classes(self, name):
@@ -128,7 +129,7 @@ class TestStructure:
         reps, sizes, class_of = [], [], [None] * G.order
         for i, x in enumerate(elems):
             if class_of[i] is None:
-                members = {G.index_of(_conj(x, g)) for g in elems}
+                members = {G.index_of(conj(x, g)) for g in elems}
                 for j in members:
                     class_of[j] = len(reps)
                 reps.append(i)
@@ -194,7 +195,7 @@ class TestRegularTables:
         elems = G.element_tuples()
         for c, ct in enumerate(elems):
             table = _conjugation_by(G.inverse_table(), G.right_table(c))
-            assert table == [G.index_of(_conj(g, ct)) for g in elems]
+            assert table == [G.index_of(conj(g, ct)) for g in elems]
 
 
 class TestQuotients:
@@ -233,6 +234,16 @@ class TestQuotients:
         H = catalog_group("S4").subgroup([P("(1,2)", 4)])
         with pytest.raises(NotInGroup):
             catalog_group("A4").quotient(H)
+
+    def test_subgroup_of_another_degree_rejected(self):
+        # A5's 5-point generators are never sifted through S4's chain
+        S4, A5 = catalog_group("S4"), catalog_group("A5")
+        with pytest.raises(DegreeMismatch):
+            S4.quotient(A5)
+        with pytest.raises(NotInGroup):
+            S4.coset_partition(A5)
+        with pytest.raises(NotInGroup, match="subgroup is not contained in the group"):
+            catalog_group("A4").quotient(FiniteGroup(4, [P("(1,2)", 4)]))
 
     def test_index_above_cap_rejected(self):
         G = load("S4", cap=10)

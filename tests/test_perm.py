@@ -34,6 +34,8 @@ class TestBasics:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
             Permutation.identity(3) * Permutation.identity(4)
+        with pytest.raises(DegreeMismatch):
+            Permutation.parse("(1,2)", 3) ** Permutation.parse("(1,2)", 4)
 
     def test_order(self):
         assert Permutation.parse("(1,2)(3,4,5)", 5).order() == 6
