@@ -12,14 +12,13 @@ from .errors import (
     ParseError,
     UnknownName,
 )
-from .group import ElementSet, FiniteGroup, direct_product, from_generators, parse_group_spec
+from .group import ElementSet, FiniteGroup, direct_product, parse_group_spec
 from .perm import Permutation
 
 __all__ = [
     "Permutation",
     "FiniteGroup",
     "ElementSet",
-    "from_generators",
     "direct_product",
     "parse_group_spec",
     "GroupError",

@@ -16,7 +16,7 @@ from typing import Sequence
 from .classes import NILPOTENT, GroupClass
 from .errors import EmptySet
 from .group import ElementSet, FiniteGroup, direct_product
-from .perm import Permutation, mul, prime_component, tuple_order
+from .perm import Permutation, commute, prime_component, tuple_order
 from .probability import _group_label, omega, prob_elem, prob_sets
 from .util import Record, prime_factors
 
@@ -173,19 +173,18 @@ def hall_bound_check(
     the primes of Q.
     """
     failures = []
-    for qg in Q.generators:
-        if not G.contains(qg):
-            failures.append("Q not contained in G")
-            break
-        if any(not Q.contains((qg ** g)) for g in G.generators):
-            failures.append("Q not normal in G")
-            break
+    contained = all(G.contains(qg) for qg in Q.generators)
+    if not contained:
+        failures.append("Q not contained in G")
+    elif any(not Q.contains(qg ** g) for qg in Q.generators for g in G.generators):
+        failures.append("Q not normal in G")
     if not Q.is_nilpotent:
         failures.append("Q not nilpotent")
     N = G.subgroup([u, v])
     if not N.is_nilpotent:
         failures.append("N = <u,v> not nilpotent")
-    if G.subgroup(list(N.generators) + list(Q.generators)).order != G.order:
+    # G.subgroup refuses a generator outside G, so NQ is formed only for Q in G
+    if contained and G.subgroup(list(N.generators) + list(Q.generators)).order != G.order:
         failures.append("G != NQ")
     if failures:
         return CheckReport("hall bound preconditions", False, {"failures": failures})
@@ -200,9 +199,7 @@ def hall_bound_check(
     subgroup_ok = R_group.order == len(R_elems)
 
     centralizer_size = sum(
-        1
-        for qt in Q.element_tuples()
-        if all(mul(qt, r) == mul(r, qt) for r in R_elems)
+        1 for qt in Q.element_tuples() if all(commute(qt, r) for r in R_elems)
     )
     bound = Fraction(centralizer_size, Q.order)
 

@@ -7,7 +7,7 @@ dominates every probability and graph computation, so results are cached per
 (group, class) and each built-in class carries a fast test that avoids
 constructing the subgroup where a cheap criterion exists:
 
-* abelian: two generators commute.
+* abelian: two generators commute (``perm.commute``).
 * nilpotent: split both elements into prime parts; the pair generates a
   nilpotent group iff parts for distinct primes commute and each same-prime
   pair generates a p-group (checked by closure with the Sylow order of the
@@ -44,10 +44,12 @@ per orbit of x-translation, inversion and C_G(x)-conjugation, which leave
 group's regular representation (``FiniteGroup.right_table`` and its
 siblings, each a few gathers of the stored generator tables), so the
 orbits, taken by ``group._orbits``, and the search for generators of C_G(x)
-look up element indices and form no permutation products.  Abelian and
-nilpotent rows stay one test per element: a commute check is cheaper than
-building the orbits, and the nilpotent counts of the dihedral tower are
-pinned by the benchmark.
+look up element indices and form no permutation products.  R_x and the
+inverse table generate L_x, since inversion, R_x, inversion is L_{x^-1}, so
+the orbit walk leaves L_x out; L_x is kept only for the centralizer test.
+Abelian and nilpotent rows stay one test per element: a commute check is
+cheaper than building the orbits, and the nilpotent counts of the dihedral
+tower are pinned by the benchmark.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import Callable, Sequence
 
 from .errors import NotInGroup, UnknownName
 from .group import FiniteGroup, _conjugation_by, _orbits, _walk, bfs_closure
-from .perm import Permutation, inv, mul, prime_component, tuple_order
+from .perm import Permutation, commute, inv, mul, prime_component, tuple_order
 from .util import Frozen, pi_part, prime_factors
 
 __all__ = [
@@ -92,10 +94,6 @@ class GroupClass(Frozen):
 # fast pair tests
 # ---------------------------------------------------------------------------
 
-def _abelian_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
-    return mul(xt, yt) == mul(yt, xt)
-
-
 def _prime_parts(G: FiniteGroup, t: tuple) -> dict[int, tuple]:
     """The p-part of t for each prime p dividing its order, from the
     group's ``prime_part_cache``, filled on first use."""
@@ -109,7 +107,7 @@ def _prime_parts(G: FiniteGroup, t: tuple) -> dict[int, tuple]:
 
 
 def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
-    if mul(xt, yt) == mul(yt, xt):
+    if commute(xt, yt):
         return True
     ident = G.identity.images
     xparts, yparts = _prime_parts(G, xt), _prime_parts(G, yt)
@@ -122,7 +120,7 @@ def _nilpotent_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
         for q in primes:
             if p != q:
                 b = yparts.get(q, ident)
-                if mul(a, b) != mul(b, a):
+                if not commute(a, b):
                     return False
     for p in primes:
         # a part that is present is not the identity, so a missing one
@@ -251,7 +249,7 @@ def _soluble_restriction(G: FiniteGroup, xr: tuple, yr: tuple) -> bool:
 
 
 def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
-    if mul(xt, yt) == mul(yt, xt):
+    if commute(xt, yt):
         return True
     # <x, y> embeds in the direct product of its restrictions to its orbits,
     # and maps onto each of them; the class is closed under subgroups,
@@ -283,7 +281,7 @@ def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
     return True
 
 
-ABELIAN = GroupClass("abelian", lambda G: G.is_abelian, _abelian_pair)
+ABELIAN = GroupClass("abelian", lambda G: G.is_abelian, lambda G, xt, yt: commute(xt, yt))
 NILPOTENT = GroupClass("nilpotent", lambda G: G.is_nilpotent, _nilpotent_pair)
 SOLUBLE = GroupClass("soluble", lambda G: G.is_soluble, _soluble_pair)
 
@@ -345,11 +343,13 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:
     subgroup for g, xg, gx and g^-1, and for c in C_G(x) the subgroup
     <x, c^-1 g c> is conjugate to it, so the answer is constant on the
     orbits of the group these maps generate.  The maps act on indices as
-    the group's tables R_x, L_x, the inverse table and one conjugation
-    table per centralizer generator, so ``_orbits`` only looks up indices.
-    One ``pair_in_group`` call on each orbit's least index decides the
-    whole orbit; the calls run in order of that index.  Every other class
-    takes one pair test per element.
+    the group's tables R_x, the inverse table and one conjugation table per
+    centralizer generator, so ``_orbits`` only looks up indices.  L_x needs
+    no map of its own: inversion, R_x, inversion is L_{x^-1}, so R_x and
+    the inverse table generate L_x, which is kept only for the centralizer
+    test.  One ``pair_in_group`` call on each orbit's least index decides
+    the whole orbit; the calls run in order of that index.  Every other
+    class takes one pair test per element.
     """
     elems = G.element_tuples()
     if C.predicate(G):
@@ -362,7 +362,7 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:
         return frozenset(i for i in range(G.order) if pair_in_group(C, G, xt, elems[i]))
     x = G._index[xt]
     right, left, inverse = G.right_table(x), G.left_table(x), G.inverse_table()
-    maps = [right, left, inverse,
+    maps = [right, inverse,
             *(_conjugation_by(inverse, r) for r in _centralizer_tables(G, right, left))]
     passing: list[int] = []
     for orbit in _orbits(G.order, maps):

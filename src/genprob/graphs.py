@@ -190,13 +190,10 @@ def components_and_diameters(graph: ClassGraph) -> GraphReport:
     maximum of those eccentricities over its vertices; a component search
     that starts at a representative is not repeated for its eccentricity.
     An isolated vertex's representative is isolated too, so a singleton
-    component has diameter 0.
+    component has diameter 0.  The empty graph has no component.
     """
     G = graph.group
     report = GraphReport(_group_label(G), graph.class_name, len(graph.vertices.members), [])
-    if graph.is_empty:
-        return report
-
     vertex_set = graph.vertices.members
     reps, _, class_of = G._conjugacy_data()
     unplaced = _bitset(vertex_set, G.order)

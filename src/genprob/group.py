@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, ParseError
-from .perm import Permutation, conj, identity_tuple, inv, mul
+from .perm import Permutation, commute, conj, identity_tuple, inv, mul
 from .util import Frozen, prime_factors
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "ElementSet",
     "bfs_closure",
     "DEFAULT_MATERIALIZATION_CAP",
-    "from_generators",
     "direct_product",
     "parse_group_spec",
     "format_group_spec",
@@ -362,7 +361,7 @@ class FiniteGroup:
         self._require_member(x)
         xt = x.images
         members = frozenset(
-            i for i, t in enumerate(self.element_tuples()) if mul(t, xt) == mul(xt, t)
+            i for i, t in enumerate(self.element_tuples()) if commute(t, xt)
         )
         return ElementSet(self, members)
 
@@ -370,7 +369,7 @@ class FiniteGroup:
         members = frozenset(
             i
             for i, t in enumerate(self.element_tuples())
-            if all(mul(t, g) == mul(g, t) for g in self._gen_tuples)
+            if all(commute(t, g) for g in self._gen_tuples)
         )
         return ElementSet(self, members)
 
@@ -510,9 +509,7 @@ class FiniteGroup:
     @cached_property
     def is_abelian(self) -> bool:
         gens = self._gen_tuples
-        return all(
-            mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:]
-        )
+        return all(commute(a, b) for i, a in enumerate(gens) for b in gens[i + 1:])
 
     @cached_property
     def is_nilpotent(self) -> bool:
@@ -616,15 +613,6 @@ class ElementSet(Frozen):
 # ---------------------------------------------------------------------------
 # Constructors and text format
 # ---------------------------------------------------------------------------
-
-def from_generators(
-    degree: int,
-    gens: Sequence[Permutation],
-    cap: int = DEFAULT_MATERIALIZATION_CAP,
-    name: str | None = None,
-) -> FiniteGroup:
-    return FiniteGroup(degree, gens, cap=cap, name=name)
-
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
     """Direct product as a permutation group on the disjoint union of supports."""

@@ -20,8 +20,8 @@ from .errors import DegreeMismatch, ParseError
 from .util import Frozen, pi_part
 
 __all__ = [
-    "Permutation", "mul", "inv", "conj", "identity_tuple", "tuple_order", "tuple_power",
-    "prime_component",
+    "Permutation", "mul", "inv", "conj", "commute", "identity_tuple", "tuple_order",
+    "tuple_power", "prime_component",
 ]
 
 
@@ -54,6 +54,11 @@ def conj(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return mul(mul(inv(g), x), g)
 
 
+def commute(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether a and b commute: ab == ba, two products."""
+    return mul(a, b) == mul(b, a)
+
+
 def tuple_order(p: tuple[int, ...]) -> int:
     """Order of p: the lcm of its cycle lengths."""
     seen = [False] * len(p)
@@ -73,7 +78,10 @@ def tuple_order(p: tuple[int, ...]) -> int:
 
 
 def tuple_power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """p ** k for k >= 0, by binary powering from the identity."""
+    """p ** k for k >= 0, by binary powering from the identity; a negative
+    k is refused, since shifting it right never reaches 0."""
+    if k < 0:
+        raise ValueError(f"negative exponent: {k}")
     result = identity_tuple(len(p))
     base = p
     while k:
@@ -90,12 +98,10 @@ def prime_component(p: tuple[int, ...], o: int,
     ``o`` is the order of p.
 
     With o = a*b, a the part over ``primes``, this is p ** e for
-    e = 1 mod a and e = 0 mod b.
+    e = 1 mod a and e = 0 mod b; for a = 1 that e is 0, the identity.
     """
     a = pi_part(o, primes)
     b = o // a
-    if a == 1:
-        return identity_tuple(len(p))
     if b == 1:
         return p
     return tuple_power(p, b * pow(b, -1, a))
@@ -180,7 +186,7 @@ class Permutation(Frozen):
         return out
 
     def commutes_with(self, other: "Permutation") -> bool:
-        return mul(self.images, other.images) == mul(other.images, self.images)
+        return commute(self.images, other.images)
 
     def __str__(self) -> str:
         cycs = self.cycles()

@@ -24,7 +24,10 @@ def prime_factors(n: int) -> list[int]:
 
 def pi_part(n: int, primes: Iterable[int]) -> int:
     """The largest divisor of n whose prime factors all lie in ``primes``;
-    a p below 2 is refused, since n % p never leaves 1 and 0 divides none."""
+    an n below 1 is refused, since every p divides 0 for ever, and so is a
+    p below 2, since n % p never leaves 1 and 0 divides none."""
+    if n < 1:
+        raise ValueError(f"not a positive integer: {n}")
     part = 1
     for p in primes:
         if p < 2:

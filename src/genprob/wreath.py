@@ -25,7 +25,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import GroupError, NotInGroup
-from .group import ElementSet, FiniteGroup, _orbits
+from .group import FiniteGroup, _orbits
 from .perm import Permutation, conj, identity_tuple, inv, mul, tuple_order, tuple_power
 from .util import Frozen, Record
 
@@ -43,7 +43,6 @@ __all__ = [
     "projection",
     "verify_alpha_beta_generation",
     "verify_lemma_mechanism",
-    "solubilizer_in_alt5",
     "ALPHA",
     "BETA",
 ]
@@ -409,12 +408,3 @@ def verify_lemma_mechanism(
         order_h=level.element_order(h),
         seed=seed,
     )
-
-
-def solubilizer_in_alt5(x: Permutation) -> ElementSet:
-    """Exhaustive solubilizer of x in Alt(5)."""
-    from .classes import SOLUBLE
-    from .probability import omega
-
-    A5 = alt5()
-    return omega(SOLUBLE, A5, x)

@@ -31,7 +31,7 @@ from genprob.classes import (
 )
 from genprob.errors import NotInGroup
 from genprob.group import _order_forces_soluble
-from genprob.perm import identity_tuple, inv, mul, prime_component, tuple_order
+from genprob.perm import conj, identity_tuple, inv, mul, prime_component, tuple_order
 from genprob.probability import prob_group, verify_identities
 from genprob.tower import dihedral_tower
 from genprob.util import pi_part, prime_factors
@@ -611,6 +611,87 @@ def test_fast_pair_matches_reference_psl27(i, j):
         assert pair_in_group(klass, G, x.images, y.images) == pair_by_predicate(
             klass, G, x, y
         )
+
+
+def _young_pair(rng, n):
+    """Two elements of one Young subgroup of Sym(n) with blocks of at most 4
+    points, so <x, y> is soluble."""
+    points = rng.sample(range(n), n)
+    blocks = []
+    while points:
+        k = rng.randint(1, 4)
+        blocks.append(points[:k])
+        del points[:k]
+
+    def draw():
+        images = list(range(n))
+        for b in blocks:
+            for p, q in zip(b, rng.sample(b, len(b))):
+                images[p] = q
+        return tuple(images)
+
+    return draw(), draw()
+
+
+# D8, a Sylow 2-subgroup of Sym(4), as the symmetries of the square 0-1-2-3
+_D8 = [tuple((s + i) % 4 for i in range(4)) for s in range(4)] + [
+    tuple((s - i) % 4 for i in range(4)) for s in range(4)]
+
+
+def _c3_wr_c3(rng):
+    """A random element of C3 wr C3, a Sylow 3-subgroup of Sym(9), on
+    0..8: each block {3j, 3j+1, 3j+2} turns, then the blocks turn."""
+    shifts, turn = [rng.randrange(3) for _ in range(3)], rng.randrange(3)
+    return tuple(3 * ((j + turn) % 3) + (r + shifts[j]) % 3
+                 for j in range(3) for r in range(3))
+
+
+def _sylow_pair(rng, n):
+    """Two elements of one nilpotent subgroup of Sym(n): C3 wr C3 on 9
+    points some of the time where n allows it, D8 on each further block of
+    4 points, the rest fixed, both moved by one random relabelling."""
+    parts = [(9, _c3_wr_c3)] if n >= 9 and rng.random() < 0.6 else []
+    parts += [(4, lambda rng: rng.choice(_D8))] * ((n - 9 * len(parts)) // 4)
+
+    def draw():
+        images = list(range(n))
+        offset = 0
+        for size, element in parts:
+            images[offset:offset + size] = [offset + v for v in element(rng)]
+            offset += size
+        return tuple(images)
+
+    g = tuple(rng.sample(range(n), n))
+    return conj(draw(), g), conj(draw(), g)
+
+
+def _uniform_pair(rng, n):
+    return tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))
+
+
+def test_fast_pair_matches_reference_on_random_symmetric_pairs():
+    """Pairs in Sym(n), 5 <= n <= 12: uniform ones, mostly insoluble, and
+    intransitive ones from Young subgroups and from Sylow subgroups, most
+    of which do not commute, so both fast tests go past their commute
+    check."""
+    rng = random.Random(25)
+    groups = {n: FiniteGroup(n, [P("(1,2)", n), Permutation(tuple(range(1, n)) + (0,))])
+              for n in range(5, 13)}
+    outcomes = {C.name: set() for C in (ABELIAN, NILPOTENT, SOLUBLE)}
+    past_commute = {"nilpotent": 0, "soluble": 0}
+    for k in range(240):
+        n = rng.randint(5, 12)
+        xt, yt = (_uniform_pair, _young_pair, _sylow_pair)[k % 3](rng, n)
+        x, y = Permutation(xt), Permutation(yt)
+        commuting = mul(xt, yt) == mul(yt, xt)
+        for C in (ABELIAN, NILPOTENT, SOLUBLE):
+            fast = pair_in_group(C, groups[n], xt, yt)
+            assert fast == pair_by_predicate(C, groups[n], x, y), (C.name, str(x), str(y))
+            outcomes[C.name].add(fast)
+            if fast and not commuting and C.name in past_commute:
+                past_commute[C.name] += 1
+    assert all(seen == {False, True} for seen in outcomes.values()), outcomes
+    assert past_commute["soluble"] >= 20 and past_commute["nilpotent"] >= 10, past_commute
 
 
 class TestClosureAudit:

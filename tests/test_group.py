@@ -14,7 +14,6 @@ from genprob import (
     ParseError,
     Permutation,
     direct_product,
-    from_generators,
     parse_group_spec,
 )
 from genprob.catalog import load
@@ -33,7 +32,7 @@ def S(n):
 
 class TestOrderAndMembership:
     def test_alt5_order(self):
-        G = from_generators(5, [P("(1,2,3)", 5), P("(1,2,3,4,5)", 5)])
+        G = FiniteGroup(5, [P("(1,2,3)", 5), P("(1,2,3,4,5)", 5)])
         assert G.order == 60
 
     @pytest.mark.parametrize("name", catalog_names(max_order=5040))
@@ -58,6 +57,20 @@ class TestOrderAndMembership:
             for e in rng.sample(elems, 30):
                 assert H.contains(e) == (e.images in members)
 
+    def test_bad_generators_rejected(self):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            FiniteGroup(0, [])
+        with pytest.raises(DegreeMismatch):
+            FiniteGroup(4, [P("(1,2)", 4), P("(1,2)", 5)])
+
+    def test_element_of_another_degree_rejected(self):
+        with pytest.raises(DegreeMismatch):
+            catalog_group("S4").contains(Permutation.identity(5))
+
+    def test_subgroup_generator_outside_group_rejected(self):
+        with pytest.raises(NotInGroup, match=r"\(1,2\) is not an element"):
+            catalog_group("A4").subgroup([P("(1,2)", 4)])
+
     def test_cap(self):
         G = FiniteGroup(7, [P("(1,2)", 7), P("(1,2,3,4,5,6,7)", 7)], cap=100)
         assert G.order == 5040
@@ -73,8 +86,8 @@ class TestCanonicalEnumeration:
 
     def test_enumeration_is_generator_order_dependent_but_stable(self):
         a, b = P("(1,2,3)", 5), P("(1,2,3,4,5)", 5)
-        G1 = from_generators(5, [a, b])
-        G2 = from_generators(5, [a, b])
+        G1 = FiniteGroup(5, [a, b])
+        G2 = FiniteGroup(5, [a, b])
         assert G1.element_tuples() == G2.element_tuples()
 
     def test_index_roundtrip(self):

@@ -202,3 +202,20 @@ def test_prime_below_two_is_refused(call):
         f"try:\n    {call}\nexcept ValueError as e:\n    print(e)\n", timeout=10)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("not a prime: ")
+
+
+@pytest.mark.parametrize("call, message", [
+    ("pi_part(0, [2])", "not a positive integer: 0"),
+    ("pi_part(-4, [2])", "not a positive integer: -4"),
+    ("prime_component((1, 2, 0), 0, [3])", "not a positive integer: 0"),
+    ("tuple_power((1, 2, 0), -1)", "negative exponent: -1"),
+])
+def test_out_of_range_argument_is_refused(call, message):
+    # every p divides 0, and -1 >> 1 is -1, so those looped for ever; a
+    # negative n gave a part all the same
+    result = run_python(
+        "from genprob.perm import prime_component, tuple_power\n"
+        "from genprob.util import pi_part\n"
+        f"try:\n    {call}\nexcept ValueError as e:\n    print(e)\n", timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == message + "\n"

@@ -240,6 +240,11 @@ class TestLaws:
         X = ElementSet(G, frozenset(rng.sample(range(60), 10)))
         assert averaging_identity_check(SOLUBLE, G, X).holds
 
+    def test_averaging_over_empty_set_rejected(self):
+        G = catalog_group("S3")
+        with pytest.raises(EmptySet):
+            averaging_identity_check(SOLUBLE, G, ElementSet(G, frozenset()))
+
     def test_quotient_monotonicity(self):
         S4 = catalog_group("S4")
         V = S4.subgroup([P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4)])
@@ -261,6 +266,12 @@ class TestLaws:
         rng.shuffle(indices)
         parts = [ElementSet(G, frozenset(indices[i::3])) for i in range(3)]
         assert partition_identity_check(SOLUBLE, G, parts, parts).holds
+
+    def test_overlapping_parts_rejected(self):
+        G = catalog_group("S3")
+        parts = [ElementSet(G, frozenset({0, 1})), ElementSet(G, frozenset({1, 2}))]
+        with pytest.raises(ValueError, match="parts must be disjoint"):
+            partition_identity_check(SOLUBLE, G, parts, parts)
 
 
 class TestHallBound:
@@ -318,6 +329,19 @@ class TestHallBound:
         r = hall_bound_check(S3, Q, P("(1,2,3)", 3), P("(1,2,3)", 3))
         assert not r.holds
         assert "Q not normal in G" in r.details["failures"]
+
+    def test_q_outside_g_reported(self):
+        # G = NQ is asked only of a Q inside G, so this reports, not raises
+        A4 = catalog_group("A4")
+        Q = catalog_group("S4").subgroup([P("(1,2)", 4)])
+        r = hall_bound_check(A4, Q, P("(1,2,3)", 4), P("(1,2,3)", 4))
+        assert not r.holds
+        assert "Q not contained in G" in r.details["failures"]
+
+    def test_q_not_nilpotent_reported_alone(self):
+        S4, A4 = catalog_group("S4"), catalog_group("A4")
+        r = hall_bound_check(S4, A4, P("(1,2)", 4), P("(1,2)", 4))
+        assert r.details["failures"] == ["Q not nilpotent"]
 
 
 class TestReports:

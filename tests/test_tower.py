@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from genprob import CapExceeded, GroupError, Permutation
+from genprob.catalog import load
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE
 from genprob.tower import (
     MonotonicityReport,
@@ -65,6 +66,11 @@ class TestConstruction:
         broken = [lambda p: tower3.levels[0].identity for _ in range(3)]
         with pytest.raises(GroupError):
             QuotientTower("broken", list(tower3.levels), broken)
+
+    def test_missing_projection_rejected(self):
+        S3 = load("S3")
+        with pytest.raises(GroupError, match="one projection per"):
+            QuotientTower("t", [S3, S3], [])
 
     def test_surjective_non_homomorphism_rejected(self):
         # D18 -> D6 keeping the generators and sending the rest to 1

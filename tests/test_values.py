@@ -8,6 +8,7 @@ from genprob import Permutation
 from genprob.catalog import CatalogEntry, load
 from genprob.classes import SOLUBLE, GroupClass
 from genprob.group import ElementSet
+from genprob.util import Record
 from genprob.wreath import ALPHA, BETA, Transversal, WreathElement, WreathLevel, alt5
 
 from conftest import catalog_group
@@ -73,6 +74,18 @@ def test_equality_and_hash_follow_the_key(name):
     other_name = list(CASES)[(list(CASES).index(name) + 1) % len(CASES)]
     assert x.__eq__(CASES[other_name][0]()) is NotImplemented
     assert x != key
+
+
+def test_records_of_two_classes_are_unequal():
+    class A(Record):
+        def __init__(self):
+            self.value = 1
+
+    class B(A):
+        pass
+
+    assert A() == A()
+    assert A() != B() and not A() == B()
 
 
 def test_catalog_entry_is_value_equal_and_unhashable():

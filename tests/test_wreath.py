@@ -3,6 +3,8 @@ import random
 import pytest
 
 from genprob import GroupError, NotInGroup, Permutation
+from genprob.classes import SOLUBLE
+from genprob.probability import omega
 from genprob.wreath import (
     ALPHA,
     BETA,
@@ -20,7 +22,6 @@ from genprob.wreath import (
     projection,
     random_transversal,
     shifted_transversal,
-    solubilizer_in_alt5,
     verify_alpha_beta_generation,
     verify_lemma_mechanism,
 )
@@ -346,6 +347,6 @@ class TestVerification:
         assert report.to_json()["seed"] == 77
 
     def test_solubilizer_in_alt5(self):
-        core = solubilizer_in_alt5(ALPHA)
+        core = omega(SOLUBLE, alt5(), ALPHA)
         assert len(core) < 60
         assert alt5().identity in core
