@@ -180,12 +180,16 @@ def hall_bound_check(
         failures.append("Q not normal in G")
     if not Q.is_nilpotent:
         failures.append("Q not nilpotent")
-    N = G.subgroup([u, v])
-    if not N.is_nilpotent:
-        failures.append("N = <u,v> not nilpotent")
-    # G.subgroup refuses a generator outside G, so NQ is formed only for Q in G
-    if contained and G.subgroup(list(N.generators) + list(Q.generators)).order != G.order:
-        failures.append("G != NQ")
+    # G.subgroup refuses a generator outside G, so N is formed only for u
+    # and v in G, and NQ only for Q in G as well
+    if not (G.contains(u) and G.contains(v)):
+        failures.append("u or v not in G")
+    else:
+        N = G.subgroup([u, v])
+        if not N.is_nilpotent:
+            failures.append("N = <u,v> not nilpotent")
+        if contained and G.subgroup(list(N.generators) + list(Q.generators)).order != G.order:
+            failures.append("G != NQ")
     if failures:
         return CheckReport("hall bound preconditions", False, {"failures": failures})
 

@@ -47,9 +47,12 @@ orbits, taken by ``group._orbits``, and the search for generators of C_G(x)
 look up element indices and form no permutation products.  R_x and the
 inverse table generate L_x, since inversion, R_x, inversion is L_{x^-1}, so
 the orbit walk leaves L_x out; L_x is kept only for the centralizer test.
-Abelian and nilpotent rows stay one test per element: a commute check is
-cheaper than building the orbits, and the nilpotent counts of the dihedral
-tower are pinned by the benchmark.
+Abelian rows take no pair test: g_i commutes with x iff L_x and R_x agree
+at i, so the row is C_G(x) read off the same two tables.  Nilpotent rows
+stay one test per element and build no tables, since the benchmark pins
+the pair-test and product counts of the dihedral tower.  Every row settles
+the cap and the class predicate before it lists the elements, so the
+predicate's series are gone before the element list is built.
 """
 
 from __future__ import annotations
@@ -348,20 +351,29 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:
     no map of its own: inversion, R_x, inversion is L_{x^-1}, so R_x and
     the inverse table generate L_x, which is kept only for the centralizer
     test.  One ``pair_in_group`` call on each orbit's least index decides
-    the whole orbit; the calls run in order of that index.  Every other
-    class takes one pair test per element.
+    the whole orbit; the calls run in order of that index.
+
+    Abelian rows run no pair test: g_i commutes with x iff x g_i = g_i x,
+    that is, iff L_x and R_x agree at i.  Every other class takes one pair
+    test per element.  A group above the cap is refused, and a group inside
+    the class gets the full row, before any element is listed.
     """
-    elems = G.element_tuples()
+    # the cap first, so that a group inside the class is refused as its
+    # elements would be; then the predicate, whose series are built and
+    # dropped before the element list exists
+    G.check_cap()
     if C.predicate(G):
         return frozenset(range(G.order))
-    # abelian and nilpotent rows stay per element on purpose: a commute check
-    # costs less than building the orbits (abelian rows of S5 and A6 took
-    # 4-7 times longer with them), and the benchmark pins the nilpotent
-    # pair-test and product counts of `tower dihedral 3 6`
-    if C is not SOLUBLE:
+    elems = G.element_tuples()
+    # nilpotent rows stay per element and build no tables: the benchmark pins
+    # the pair-test and product counts of `tower dihedral 3 6`
+    if C is not ABELIAN and C is not SOLUBLE:
         return frozenset(i for i in range(G.order) if pair_in_group(C, G, xt, elems[i]))
     x = G._index[xt]
-    right, left, inverse = G.right_table(x), G.left_table(x), G.inverse_table()
+    right, left = G.right_table(x), G.left_table(x)
+    if C is ABELIAN:
+        return frozenset(i for i in range(G.order) if left[i] == right[i])
+    inverse = G.inverse_table()
     maps = [right, inverse,
             *(_conjugation_by(inverse, r) for r in _centralizer_tables(G, right, left))]
     passing: list[int] = []

@@ -296,12 +296,17 @@ class FiniteGroup:
     def elements(self) -> list[Permutation]:
         return [Permutation(t) for t in self.element_tuples()]
 
+    def check_cap(self) -> None:
+        """Refuse a group above the cap, without listing anything: the one
+        check that guards every element listing."""
+        if self.order > self.cap:
+            raise CapExceeded(
+                f"order {self.order} exceeds materialization cap {self.cap}"
+            )
+
     def element_tuples(self) -> list[tuple[int, ...]]:
         if self._elements is None:
-            if self.order > self.cap:
-                raise CapExceeded(
-                    f"order {self.order} exceeds materialization cap {self.cap}"
-                )
+            self.check_cap()
             out = bfs_closure(self._gen_tuples, self.degree, self.order)
             assert out is not None
             self._elements = out
@@ -366,10 +371,11 @@ class FiniteGroup:
         return ElementSet(self, members)
 
     def center(self) -> "ElementSet":
+        """The elements that commute with every generator: the indices that
+        every conjugation table fixes."""
+        tables = self.conjugation_tables()
         members = frozenset(
-            i
-            for i, t in enumerate(self.element_tuples())
-            if all(commute(t, g) for g in self._gen_tuples)
+            i for i in range(self.order) if all(t[i] == i for t in tables)
         )
         return ElementSet(self, members)
 

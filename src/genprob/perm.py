@@ -186,6 +186,10 @@ class Permutation(Frozen):
         return out
 
     def commutes_with(self, other: "Permutation") -> bool:
+        if len(self.images) != len(other.images):
+            raise DegreeMismatch(
+                f"cannot compare degree {self.degree} with degree {other.degree}"
+            )
         return commute(self.images, other.images)
 
     def __str__(self) -> str:

@@ -13,7 +13,8 @@ X & Y for both orders.
 Omega(x) rows use the elementwise analogue: membership of g in a soluble
 Omega(x) is constant on the orbits of g -> xg, g -> gx, g -> g^-1 and
 g -> c^-1 g c (c in C_G(x)), so ``classes.pair_row`` runs one pair test per
-orbit.  ``omega`` keeps each row in ``G.row_cache``, the row store keyed by
+orbit; an abelian Omega(x) is C_G(x), which it reads off the index tables.
+``omega`` keeps each row in ``G.row_cache``, the row store keyed by
 class name and the image tuple of x, so a row is computed once per group.
 Since <x, g> = <g, x>, g lies in Omega(G) iff Omega(g) = G: Omega(G) is the
 union of the classes whose representative pairs with every element.  The
@@ -80,9 +81,11 @@ def _group_label(G: FiniteGroup) -> str:
 def omega(C: GroupClass, G: FiniteGroup, x: Permutation) -> ElementSet:
     """All g with <x, g> in the class.
 
-    The row comes from ``classes.pair_row``: a soluble row takes one pair
-    test per orbit of x-translation, inversion and C_G(x)-conjugation, every
-    other class one pair test per element; the row is kept in G.row_cache.
+    The row comes from ``classes.pair_row``: a group inside the class gets
+    every element, an abelian row is the centralizer read off the index
+    tables with no pair test, a soluble row takes one pair test per orbit
+    of x-translation, inversion and C_G(x)-conjugation, and every other
+    class one pair test per element; the row is kept in G.row_cache.
     """
     key = (C.name, x.images)
     if key not in G.row_cache:
@@ -168,6 +171,8 @@ def omega_global(C: GroupClass, G: FiniteGroup, class_reduced: bool = True) -> E
     identity, not assumed to pass, against one element per class, since
     <1, y> = <y> and conjugate elements generate conjugate subgroups.
     """
+    # a group inside the class is refused above the cap as any other is
+    G.check_cap()
     if C.predicate(G):
         return ElementSet(G, frozenset(range(G.order)))
     elems = G.element_tuples()
@@ -191,6 +196,7 @@ def soluble_radical(G: FiniteGroup) -> ElementSet:
     radical.  The normal closure of x is literally the same subgroup for
     every conjugate of x, so it is computed once per conjugacy class.
     """
+    G.check_cap()
     if G.is_soluble:
         return ElementSet(G, frozenset(range(G.order)))
     elems = G.element_tuples()
@@ -205,6 +211,7 @@ def soluble_radical(G: FiniteGroup) -> ElementSet:
 
 def hypercenter(G: FiniteGroup) -> ElementSet:
     """Final term of the upper central series."""
+    G.check_cap()
     if G.is_nilpotent:
         return ElementSet(G, frozenset(range(G.order)))
     return G.upper_central_series()[-1]

@@ -29,10 +29,10 @@ from genprob.classes import (
     _prime_parts,
     _relabel,
 )
-from genprob.errors import NotInGroup
+from genprob.errors import CapExceeded, NotInGroup
 from genprob.group import _order_forces_soluble
 from genprob.perm import conj, identity_tuple, inv, mul, prime_component, tuple_order
-from genprob.probability import prob_group, verify_identities
+from genprob.probability import omega, prob_elem, prob_group, verify_identities
 from genprob.tower import dihedral_tower
 from genprob.util import pi_part, prime_factors
 
@@ -278,6 +278,65 @@ def test_nilpotent_pair_products_on_the_dihedral_tower(mul_calls):
     del mul_calls[:]
     passing = sum(_nilpotent_pair(G, a, b) for a, b in combinations(elems, 2))
     assert (G.order, len(mul_calls), passing) == (54, 5620, 378)
+
+
+@pytest.mark.parametrize("klass", [ABELIAN, NILPOTENT, SOLUBLE], ids=lambda c: c.name)
+def test_rows_refuse_a_group_above_the_cap(klass):
+    """A row is refused above the cap even when the group lies in the
+    class and its row would be every element; S4 is soluble."""
+    G = FiniteGroup(4, catalog_group("S4").generators, cap=10)
+    x = P("(1,2,3,4)", 4)
+    with pytest.raises(CapExceeded):
+        prob_elem(klass, G, x)
+    with pytest.raises(CapExceeded):
+        omega(klass, G, x)
+    assert not G.is_materialized and G.row_cache == {}
+
+
+def test_row_decides_the_class_before_listing(monkeypatch):
+    """The class predicate's series are built, and dropped, before the
+    element list exists: the first listing of the top level of
+    dihedral_tower(3, 3) comes after is_nilpotent is settled."""
+    G = dihedral_tower(3, 3).levels[-1]
+    assert not G.is_materialized and "is_nilpotent" not in G.__dict__
+    decided = []
+    element_tuples = FiniteGroup.element_tuples
+
+    def recorded(self):
+        if self is G:
+            decided.append("is_nilpotent" in G.__dict__)
+        return element_tuples(self)
+
+    monkeypatch.setattr(FiniteGroup, "element_tuples", recorded)
+    row = omega(NILPOTENT, G, G.generators[0])
+    assert decided[0] is True
+    assert len(row) == 27  # the rotations: D54 is not nilpotent
+
+
+@pytest.mark.parametrize("name, klass", [("Q8", NILPOTENT), ("C6", ABELIAN),
+                                         ("S4", SOLUBLE)])
+def test_rows_inside_the_class_list_no_elements(name, klass):
+    """A group inside the class gets its full row without listing its
+    elements.  The group is loaded afresh: catalog_group shares groups
+    that earlier tests have listed."""
+    G = load(name)
+    assert omega(klass, G, G.generators[0]).members == frozenset(range(G.order))
+    assert not G.is_materialized
+
+
+def test_abelian_rows_read_the_tables(mul_calls):
+    """Once the tables are built and the class predicate is settled, an
+    abelian row forms no products and stores no pair test; it equals the
+    centralizer, which commute decides by tuple products."""
+    G = load("S5")
+    elems = G.element_tuples()
+    reps, sizes, _ = G._conjugacy_data()
+    assert not G.is_abelian
+    del mul_calls[:]
+    rows = [pair_row(ABELIAN, G, elems[r]) for r in reps]
+    assert mul_calls == [] and "abelian" not in G.pair_cache
+    assert rows == [G.centralizer(Permutation(elems[r])).members for r in reps]
+    assert [len(row) * size for row, size in zip(rows, sizes)] == [G.order] * len(reps)
 
 
 @pytest.mark.parametrize("name", ["S5", "A6", "S3xA5", "C3xA5"])

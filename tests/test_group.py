@@ -18,7 +18,7 @@ from genprob import (
 )
 from genprob.catalog import load
 from genprob.group import _conjugation_by, bfs_closure, format_group_spec
-from genprob.perm import conj, identity_tuple, inv, mul
+from genprob.perm import commute, conj, identity_tuple, inv, mul
 from genprob.probability import soluble_radical
 
 from conftest import catalog_group, catalog_names, conjugate_members, transporters
@@ -104,6 +104,17 @@ class TestCanonicalEnumeration:
 class TestStructure:
     def test_center_of_q8(self):
         assert len(catalog_group("Q8").center()) == 2
+
+    @pytest.mark.parametrize("names", [*catalog_names(max_order=720), "Q8 S3", "C4 D8"])
+    def test_center_matches_commuting_generators(self, names):
+        """The centre read off the conjugation tables equals the elements
+        that commute with every generator by tuple products, on the catalog
+        groups and on two direct products."""
+        a, _, b = names.partition(" ")
+        G = direct_product(load(a), load(b)) if b else catalog_group(a)
+        expected = frozenset(i for i, t in enumerate(G.element_tuples())
+                             if all(commute(t, g) for g in G._gen_tuples))
+        assert G.center().members == expected
 
     def test_centralizer_sizes_partition(self):
         # |class of x| * |C_G(x)| = |G|

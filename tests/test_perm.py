@@ -36,6 +36,11 @@ class TestBasics:
             Permutation.identity(3) * Permutation.identity(4)
         with pytest.raises(DegreeMismatch):
             Permutation.parse("(1,2)", 3) ** Permutation.parse("(1,2)", 4)
+        a, b = Permutation.parse("(1,2)", 2), Permutation.identity(3)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(DegreeMismatch):
+                x.commutes_with(y)
+        assert a.commutes_with(Permutation.identity(2))
 
     def test_order(self):
         assert Permutation.parse("(1,2)(3,4,5)", 5).order() == 6

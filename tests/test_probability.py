@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from genprob import ElementSet, EmptySet, Permutation
+from genprob import CapExceeded, ElementSet, EmptySet, FiniteGroup, Permutation
 from genprob.catalog import load
 from genprob.classes import (
     ABELIAN,
@@ -205,6 +205,20 @@ class TestGlobalOmega:
             == omega_global(self.TWO_GROUPS, G, class_reduced=False).members
         )
 
+    @pytest.mark.parametrize("gens, oracle", [
+        ("(1,2) (1,2,3,4)", lambda G: omega_global(SOLUBLE, G)),
+        ("(1,2) (1,2,3,4)", soluble_radical),
+        ("(1,2,3,4)", lambda G: omega_global(ABELIAN, G)),
+        ("(1,2,3,4)", hypercenter),
+    ])
+    def test_cap_is_strict_inside_the_class(self, gens, oracle):
+        # S4 is soluble and C4 abelian, so each of these sets would be the
+        # whole group; the cap refuses it as it refuses any other
+        G = FiniteGroup(4, [P(g, 4) for g in gens.split()], cap=3)
+        with pytest.raises(CapExceeded):
+            oracle(G)
+        assert not G.is_materialized
+
     def test_simple_groups_have_trivial_soluble_core(self):
         for name in ("A5", "PSL27", "A6"):
             assert len(omega_global(SOLUBLE, catalog_group(name))) == 1
@@ -337,6 +351,15 @@ class TestHallBound:
         r = hall_bound_check(A4, Q, P("(1,2,3)", 4), P("(1,2,3)", 4))
         assert not r.holds
         assert "Q not contained in G" in r.details["failures"]
+
+    def test_u_or_v_outside_g_reported(self):
+        # <u, v> is formed only of elements of G, so this reports, not raises
+        A4 = catalog_group("A4")
+        V = A4.subgroup([P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4)])
+        for u, v in ((P("(1,2)", 4), P("(1,2)", 4)), (P("(1,2,3)", 4), P("(1,2)", 4))):
+            r = hall_bound_check(A4, V, u, v)
+            assert not r.holds
+            assert r.details["failures"] == ["u or v not in G"]
 
     def test_q_not_nilpotent_reported_alone(self):
         S4, A4 = catalog_group("S4"), catalog_group("A4")
