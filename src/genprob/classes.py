@@ -3,9 +3,10 @@
 A ``GroupClass`` is a named predicate on finite groups (abelian, nilpotent,
 soluble are built in).  The central operation is ``test_pair``: does the
 subgroup generated by two elements belong to the class?  Pair enumeration
-dominates every probability and graph computation, so results are cached per
-(group, class) and each built-in class carries a fast test that avoids
-constructing the subgroup where a cheap criterion exists:
+dominates every probability and graph computation, so each built-in class
+carries a fast test that avoids building <x, y> where a cheap criterion
+exists (``decide_pair`` runs it, uncached, for the exhaustive oracles;
+``pair_in_group`` keeps its verdicts per (group, class) for the rest):
 
 * abelian: two generators commute (``perm.commute``).
 * nilpotent: split both elements into prime parts; the pair generates a
@@ -316,26 +317,25 @@ def pair_key(xt: tuple, yt: tuple) -> tuple[tuple, tuple]:
     return (xt, yt) if xt <= yt else (yt, xt)
 
 
+def decide_pair(C: GroupClass, G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
+    """Whether <x, y> lies in the class, by the class's fast test or else
+    its predicate on <x, y>; membership is assumed.  Caches no verdict."""
+    if C.fast_pair is not None:
+        return C.fast_pair(G, xt, yt)
+    return C.predicate(FiniteGroup(G.degree, [Permutation(xt), Permutation(yt)], cap=G.cap))
+
+
 def pair_in_group(C: GroupClass, G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
-    """Internal test_pair over image tuples; membership is assumed."""
+    """test_pair over image tuples, membership assumed; caches each verdict."""
     # a subgroup-closed class containing G contains every <x, y>
     if C.predicate(G):
         return True
-    cache = G.pair_cache.get(C.name)
-    if cache is None:
-        cache = G.pair_cache[C.name] = {}
+    cache = G.pair_cache.setdefault(C.name, {})
     key = pair_key(xt, yt)
     hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if C.fast_pair is not None:
-        result = C.fast_pair(G, xt, yt)
-    else:
-        result = C.predicate(
-            FiniteGroup(G.degree, [Permutation(xt), Permutation(yt)], cap=G.cap)
-        )
-    cache[key] = result
-    return result
+    if hit is None:
+        hit = cache[key] = decide_pair(C, G, xt, yt)
+    return hit
 
 
 def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:

@@ -20,15 +20,15 @@ Since <x, g> = <g, x>, g lies in Omega(G) iff Omega(g) = G: Omega(G) is the
 union of the classes whose representative pairs with every element.  The
 exhaustive count, ``omega_global(class_reduced=False)`` and
 ``classes.pair_by_predicate`` take the pairs one by one, with no orbit or
-class reduction: they are the oracles the reduced routes are checked
-against.
+class reduction and no pair cache: they are the oracles the reduced routes
+are checked against.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .classes import ABELIAN, NILPOTENT, SOLUBLE, GroupClass, pair_in_group, pair_row
+from .classes import ABELIAN, NILPOTENT, SOLUBLE, GroupClass, decide_pair, pair_in_group, pair_row
 from .errors import EmptySet, NotInGroup
 from .group import ElementSet, FiniteGroup
 from .perm import Permutation
@@ -110,51 +110,51 @@ def prob_sets(
     pair with an end outside X & Y once.  Empty X or Y is an error: the
     ratio presupposes both sets have positive measure.  X and Y must be
     sets of G's canonical enumeration, which its degree and generator
-    tuples fix.
+    tuples fix.  A group inside the class gets every pair; otherwise each
+    is decided afresh by ``classes.decide_pair``, with no pair cache.
     """
     for S in (X, Y):
         if (S.group.degree, S.group._gen_tuples) != (G.degree, G._gen_tuples):
             raise NotInGroup(f"prob_sets: a set of {S.group!r} is not a set of {G!r}")
     if not X.members or not Y.members:
         raise EmptySet("prob_sets requires nonempty X and Y")
+    total = len(X) * len(Y)
+    G.check_cap()
+    if C.predicate(G):
+        return ProbabilityReport(_group_label(G), C.name, total, total, "exhaustive")
     elems = G.element_tuples()
     both = sorted(X.members & Y.members)
     favorable = 0
     for k, i in enumerate(both):
         xt = elems[i]
-        favorable += pair_in_group(C, G, xt, xt)
+        favorable += decide_pair(C, G, xt, xt)
         for j in both[k + 1:]:
-            if pair_in_group(C, G, xt, elems[j]):
+            if decide_pair(C, G, xt, elems[j]):
                 favorable += 2
     only_y = Y.members.difference(both)
     for i in X.members:
         xt = elems[i]
         for j in (only_y if i in Y.members else Y.members):
-            if pair_in_group(C, G, xt, elems[j]):
+            if decide_pair(C, G, xt, elems[j]):
                 favorable += 1
-    return ProbabilityReport(
-        _group_label(G), C.name, favorable, len(X) * len(Y), "exhaustive"
-    )
+    return ProbabilityReport(_group_label(G), C.name, favorable, total, "exhaustive")
 
 
 def prob_group(C: GroupClass, G: FiniteGroup, method: str = "auto") -> ProbabilityReport:
     """Probability that two random elements generate a class subgroup."""
     if method == "auto":
         method = "exhaustive" if G.order <= CLASS_REDUCTION_THRESHOLD else "class-reduced"
-    # listing the elements refuses a group above the cap before any index
-    # set is built
-    elems = G.element_tuples()
+    if method not in ("exhaustive", "class-reduced"):
+        raise ValueError(f"unknown method {method!r}")
+    # a group above the cap is refused before any index set is built
+    G.check_cap()
     if method == "exhaustive":
         everything = ElementSet(G, frozenset(range(G.order)))
         return prob_sets(C, G, everything, everything)
-    if method == "class-reduced":
-        reps, sizes, _ = G._conjugacy_data()
-        favorable = sum(
-            size * len(omega(C, G, Permutation(elems[rep])))
-            for rep, size in zip(reps, sizes)
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    elems = G.element_tuples()
+    reps, sizes, _ = G._conjugacy_data()
+    favorable = sum(size * len(omega(C, G, Permutation(elems[rep])))
+                    for rep, size in zip(reps, sizes))
     return ProbabilityReport(_group_label(G), C.name, favorable, G.order ** 2, method)
 
 
@@ -179,7 +179,7 @@ def omega_global(C: GroupClass, G: FiniteGroup, class_reduced: bool = True) -> E
     if not class_reduced:
         members = set(range(G.order))
         for xt in elems:
-            members = {i for i in members if pair_in_group(C, G, xt, elems[i])}
+            members = {i for i in members if decide_pair(C, G, xt, elems[i])}
         return ElementSet(G, frozenset(members))
 
     reps, _, class_of = G._conjugacy_data()

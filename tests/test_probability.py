@@ -90,8 +90,12 @@ class TestProbGroup:
         assert prob_group(SOLUBLE, catalog_group("S6")).method == "class-reduced"
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            prob_group(SOLUBLE, catalog_group("S3"), method="guess")
+        # the method is checked before the cap or any element listing
+        A5 = catalog_group("A5")
+        for G in (FiniteGroup(5, A5.generators, cap=10), load("S4")):
+            with pytest.raises(ValueError):
+                prob_group(SOLUBLE, G, method="guess")
+            assert not G.is_materialized
 
 
 class TestProbSets:
@@ -158,13 +162,13 @@ class TestUnorderedPairs:
         import genprob.probability as probability
 
         calls = []
-        pair_in_group = probability.pair_in_group
+        decide_pair = probability.decide_pair
 
         def counted(C, G, xt, yt):
             calls.append(pair_key(xt, yt))
-            return pair_in_group(C, G, xt, yt)
+            return decide_pair(C, G, xt, yt)
 
-        monkeypatch.setattr(probability, "pair_in_group", counted)
+        monkeypatch.setattr(probability, "decide_pair", counted)
         prob_group(klass, load("A5"), method="exhaustive")
         assert len(calls) == len(set(calls)) == 60 * 61 // 2
 
@@ -181,6 +185,27 @@ class TestUnorderedPairs:
         everything = ElementSet(twin, frozenset(range(24)))
         assert prob_sets(NILPOTENT, S4, everything, everything) == prob_group(
             NILPOTENT, S4, method="exhaustive")
+
+
+@pytest.mark.parametrize("name", ["A5", "S4"])
+@pytest.mark.parametrize("klass", [ABELIAN, NILPOTENT, SOLUBLE], ids=lambda c: c.name)
+def test_exhaustive_oracles_ignore_the_pair_cache(name, klass):
+    """The oracles decide each pair afresh: verdicts the class-representative
+    rows left in the pair cache, each flipped, change neither result, and
+    neither oracle stores a verdict of its own."""
+    fresh = load(name)
+    expected = (prob_group(klass, fresh, method="exhaustive"),
+                omega_global(klass, fresh, class_reduced=False).members)
+    G = load(name)
+    for rep, _ in G.conjugacy_classes():
+        omega(klass, G, rep)
+    for cache in G.pair_cache.values():
+        for key, verdict in cache.items():
+            cache[key] = not verdict
+    flipped = {C: dict(cache) for C, cache in G.pair_cache.items()}
+    assert prob_group(klass, G, method="exhaustive") == expected[0]
+    assert omega_global(klass, G, class_reduced=False).members == expected[1]
+    assert G.pair_cache == flipped
 
 
 class TestGlobalOmega:
