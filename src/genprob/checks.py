@@ -2,22 +2,24 @@
 the modules every CLI subcommand imports.
 
 No CLI subcommand runs the closure audit of a group class, the quotient,
-averaging and coset partition identities or the nilpotent Hall bound; the
-tests do.  ``genprob.classes`` and ``genprob.probability`` still serve
-their names, loading this module on first use.
+averaging and coset partition identities, the nilpotent Hall bound or the
+compatibility of the soluble graph with the radical quotient; the tests
+do.  This module is their only home: no other module serves their names,
+so they are reached by importing ``genprob.checks``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .classes import NILPOTENT, GroupClass
+from .classes import NILPOTENT, SOLUBLE, GroupClass
 from .errors import EmptySet
+from .graphs import build_graph, components_and_diameters
 from .group import ElementSet, FiniteGroup, direct_product
 from .perm import Permutation, commute, prime_component, tuple_order
-from .probability import _group_label, omega, prob_elem, prob_sets
+from .probability import _group_label, omega, prob_elem, prob_sets, soluble_radical
 from .util import Record, prime_factors
 
 __all__ = [
@@ -28,6 +30,8 @@ __all__ = [
     "averaging_identity_check",
     "partition_identity_check",
     "hall_bound_check",
+    "CompatibilityReport",
+    "quotient_graph_compatibility",
 ]
 
 
@@ -215,4 +219,46 @@ def hall_bound_check(
         f"hall bound on {_group_label(G)}",
         subgroup_ok and lhs <= bound,
         {"probability": lhs, "bound": bound, "hall_is_subgroup": subgroup_ok},
+    )
+
+
+# ---------------------------------------------------------------------------
+# the soluble graph modulo the soluble radical
+# ---------------------------------------------------------------------------
+
+class CompatibilityReport(NamedTuple):
+    group: str
+    graph_diameter: int | None
+    quotient_diameter: int | None
+    mismatches: int
+
+    @property
+    def holds(self) -> bool:
+        return self.mismatches == 0 and self.graph_diameter == self.quotient_diameter
+
+
+def quotient_graph_compatibility(G: FiniteGroup) -> CompatibilityReport:
+    """Adjacency in the soluble graph of G matches adjacency of images in the
+    soluble graph of G modulo its soluble radical, and the diameters agree."""
+    quotient, project = G.quotient(soluble_radical(G).as_subgroup(name="R"))
+
+    graph_G = build_graph(SOLUBLE, G)
+    graph_Q = build_graph(SOLUBLE, quotient)
+
+    image = {v: quotient.index_of(project(G.element_at(v)))
+             for v in graph_G.vertices.members}
+    # a pair v < w mismatches iff w lies in exactly one of v's two sets
+    mismatches = 0
+    for v, iv in image.items():
+        # iw == iv: v and w share a coset of R, and <v, w> <= R<v> is soluble
+        near = set(graph_Q.neighbors(iv)) | {iv}
+        upstairs = {w for w in graph_G.neighbors(v) if w > v}
+        downstairs = {w for w, iw in image.items() if w > v and iw in near}
+        mismatches += len(upstairs ^ downstairs)
+
+    return CompatibilityReport(
+        _group_label(G),
+        components_and_diameters(graph_G).max_diameter,
+        components_and_diameters(graph_Q).max_diameter,
+        mismatches,
     )

@@ -76,14 +76,12 @@ __all__ = [
     "class_by_name",
     "test_pair",
     "pair_row",
-    "closure_audit",
-    "ClosureAuditReport",
 ]
 
 
 class GroupClass(Frozen):
     """A class of finite groups closed under subgroups, quotients and
-    finite direct products (property-tested by ``closure_audit``).
+    finite direct products (property-tested by ``checks.closure_audit``).
     Equality and hash ignore ``fast_pair``."""
 
     def __init__(self, name: str, predicate: Callable[[FiniteGroup], bool],
@@ -367,11 +365,11 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:
     elems = G.element_tuples()
     # nilpotent rows stay per element and build no tables: the benchmark pins
     # the pair-test and product counts of `tower dihedral 3 6`
-    if C is not ABELIAN and C is not SOLUBLE:
+    if C != ABELIAN and C != SOLUBLE:
         return frozenset(i for i in range(G.order) if pair_in_group(C, G, xt, elems[i]))
     x = G._index[xt]
     right, left = G.right_table(x), G.left_table(x)
-    if C is ABELIAN:
+    if C == ABELIAN:
         return frozenset(i for i in range(G.order) if left[i] == right[i])
     inverse = G.inverse_table()
     maps = [right, inverse,
@@ -409,15 +407,3 @@ def pair_by_predicate(C: GroupClass, G: FiniteGroup, x: Permutation, y: Permutat
     """
     return C.predicate(G.subgroup([x, y]))
 
-
-# ---------------------------------------------------------------------------
-# check-only names, served from genprob.checks
-# ---------------------------------------------------------------------------
-
-def __getattr__(name: str):
-    # PEP 562: the closure audit lives in genprob.checks, which no CLI
-    # subcommand imports; it is loaded on first use of one of its names
-    if name in ("closure_audit", "ClosureAuditReport"):
-        from . import checks
-        return getattr(checks, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,7 @@ import click
 
 from . import __version__
 from .catalog import list_entries, load, names
-from .classes import BUILTIN_CLASSES, SOLUBLE, class_by_name
+from .classes import BUILTIN_CLASSES, NILPOTENT, SOLUBLE, GroupClass, class_by_name
 from .errors import GroupError
 from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup, parse_group_spec
 from .probability import omega_global, prob_elem, prob_group, verify_identities
@@ -139,6 +139,20 @@ def _finish(report: dict, fmt: str, passed: bool) -> None:
         sys.exit(1)
 
 
+def _diameter_bounds(C: GroupClass, result) -> dict[str, bool]:
+    """The paper's diameter bounds on a class graph, given its
+    ``graphs.GraphReport``: a soluble graph is connected with diameter at
+    most 5, and each nilpotent component has diameter at most 10."""
+    if C == SOLUBLE:
+        return {"connected": result.connected,
+                "diameter_le_5": (result.connected
+                                  and result.max_diameter <= SOLUBLE_CONNECTED_DIAMETER_BOUND)}
+    if C == NILPOTENT:
+        return {"component_diameters_le_10": all(
+            c["diameter"] <= NILPOTENT_COMPONENT_DIAMETER_BOUND for c in result.components)}
+    return {}
+
+
 def _envelope(command: str, config: dict, seed: int | None = None) -> dict:
     report = {"version": __version__, "command": command, "config": config}
     if seed is not None:
@@ -217,19 +231,8 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int,
     g = build_graph(C, G)
     result = components_and_diameters(g)
 
-    bounds = {}
-    if not g.is_empty:
-        if class_name == "soluble":
-            bounds["connected"] = result.connected
-            bounds["diameter_le_5"] = (
-                result.connected
-                and result.max_diameter <= SOLUBLE_CONNECTED_DIAMETER_BOUND
-            )
-        if class_name == "nilpotent":
-            bounds["component_diameters_le_10"] = all(
-                c["diameter"] <= NILPOTENT_COMPONENT_DIAMETER_BOUND
-                for c in result.components
-            )
+    # the empty graph is reported, with no bound to check
+    bounds = {} if g.is_empty else _diameter_bounds(C, result)
 
     report = _envelope("graph", {
         "group": group_source, "class": class_name, "cap": cap,
@@ -343,8 +346,7 @@ def selftest(seed: int, fmt: str) -> None:
         ok = ok and identities.passed
     g = build_graph(SOLUBLE, load("A5"))
     graph_report = components_and_diameters(g)
-    graph_ok = (graph_report.connected
-                and graph_report.max_diameter <= SOLUBLE_CONNECTED_DIAMETER_BOUND)
+    graph_ok = all(_diameter_bounds(SOLUBLE, graph_report).values())
     ok = ok and graph_ok
 
     report = _envelope("selftest", {}, seed=seed)

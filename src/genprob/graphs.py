@@ -20,13 +20,12 @@ from __future__ import annotations
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import NamedTuple
 
 # pair_in_group is not called here; the benchmark's tracer tests check that
 # this import site of it gets wrapped, so the name stays bound
-from .classes import SOLUBLE, GroupClass, pair_in_group
+from .classes import GroupClass, pair_in_group
 from .group import ElementSet, FiniteGroup
-from .probability import _group_label, omega, omega_global, soluble_radical
+from .probability import _group_label, omega, omega_global
 from .util import Record
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "build_graph",
     "components_and_diameters",
     "GraphReport",
-    "quotient_graph_compatibility",
 ]
 
 # binary digits of ``bin(row)`` to bytes that are false for 0, true for 1
@@ -219,41 +217,3 @@ def components_and_diameters(graph: ClassGraph) -> GraphReport:
             {"label": members[0], "size": len(members), "diameter": diameter}
         )
     return report
-
-
-class CompatibilityReport(NamedTuple):
-    group: str
-    graph_diameter: int | None
-    quotient_diameter: int | None
-    mismatches: int
-
-    @property
-    def holds(self) -> bool:
-        return self.mismatches == 0 and self.graph_diameter == self.quotient_diameter
-
-
-def quotient_graph_compatibility(G: FiniteGroup) -> CompatibilityReport:
-    """Adjacency in the soluble graph of G matches adjacency of images in the
-    soluble graph of G modulo its soluble radical, and the diameters agree."""
-    quotient, project = G.quotient(soluble_radical(G).as_subgroup(name="R"))
-
-    graph_G = build_graph(SOLUBLE, G)
-    graph_Q = build_graph(SOLUBLE, quotient)
-
-    image = {v: quotient.index_of(project(G.element_at(v)))
-             for v in graph_G.vertices.members}
-    # a pair v < w mismatches iff w lies in exactly one of v's two sets
-    mismatches = 0
-    for v, iv in image.items():
-        # iw == iv: v and w share a coset of R, and <v, w> <= R<v> is soluble
-        near = set(graph_Q.neighbors(iv)) | {iv}
-        upstairs = {w for w in graph_G.neighbors(v) if w > v}
-        downstairs = {w for w, iw in image.items() if w > v and iw in near}
-        mismatches += len(upstairs ^ downstairs)
-
-    return CompatibilityReport(
-        _group_label(G),
-        components_and_diameters(graph_G).max_diameter,
-        components_and_diameters(graph_Q).max_diameter,
-        mismatches,
-    )

@@ -46,9 +46,6 @@ __all__ = [
     "center",
     "verify_identities",
     "IdentityReport",
-    "quotient_monotonicity_check",
-    "averaging_identity_check",
-    "hall_bound_check",
     "CLASS_REDUCTION_THRESHOLD",
 ]
 
@@ -246,19 +243,3 @@ def verify_identities(G: FiniteGroup) -> IdentityReport:
         report.results[name] = omega_global(C, G).members == oracle(G).members
     return report
 
-
-# ---------------------------------------------------------------------------
-# check-only names, served from genprob.checks
-# ---------------------------------------------------------------------------
-
-_CHECKS = ("CheckReport", "quotient_monotonicity_check", "averaging_identity_check",
-           "partition_identity_check", "hall_bound_check")
-
-
-def __getattr__(name: str):
-    # PEP 562: the identity checks live in genprob.checks, which no CLI
-    # subcommand imports; it is loaded on first use of one of their names
-    if name in _CHECKS:
-        from . import checks
-        return getattr(checks, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

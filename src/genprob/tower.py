@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .classes import GroupClass, NILPOTENT, SOLUBLE
-from .errors import CapExceeded, GroupError
+from .errors import CapExceeded, GroupError, UnknownName
 from .group import DEFAULT_MATERIALIZATION_CAP, ElementSet, FiniteGroup
 from .perm import Permutation
 from .probability import hypercenter, omega_global, prob_elem, soluble_radical
@@ -62,6 +62,15 @@ class QuotientTower(Record):
                 if proj(track[k + 1]) != track[k]:
                     raise GroupError(f"track {name!r} does not commute with projections")
 
+    def track(self, name: str) -> list[Permutation]:
+        """The elements of the track ``name``, one per level."""
+        try:
+            return self.tracks[name]
+        except KeyError:
+            raise UnknownName(
+                f"unknown track {name!r}; expected one of {sorted(self.tracks)}"
+            ) from None
+
 
 def dihedral_tower(
     p: int, n_max: int, cap: int = DEFAULT_MATERIALIZATION_CAP
@@ -74,6 +83,8 @@ def dihedral_tower(
     """
     if p < 3 or p % 2 == 0:
         raise GroupError("p must be an odd prime")
+    if n_max < 1:
+        raise GroupError(f"a tower needs at least one level, got n_max={n_max}")
     # the order grows level by level, so a huge p or n_max is refused after
     # at most log_3(cap) products, and before the trial division below
     order, level = 2, 0
@@ -114,9 +125,8 @@ def dihedral_tower(
 
 def prob_sequence(C: GroupClass, tower: QuotientTower, track: str) -> list[Fraction]:
     """Exact per-level probabilities for the tracked element."""
-    elems = tower.tracks[track]
     return [
-        prob_elem(C, G, x).probability for G, x in zip(tower.levels, elems)
+        prob_elem(C, G, x).probability for G, x in zip(tower.levels, tower.track(track))
     ]
 
 
@@ -178,9 +188,9 @@ class PositivityReport(NamedTuple):
 
 def _core(C: GroupClass, G: FiniteGroup) -> ElementSet:
     """The set whose index per level the verdict follows."""
-    if C.name == SOLUBLE.name:
+    if C == SOLUBLE:
         return soluble_radical(G)
-    if C.name == NILPOTENT.name:
+    if C == NILPOTENT:
         return hypercenter(G)
     return omega_global(C, G)
 
@@ -194,13 +204,16 @@ def positivity_verdict(
     index sequence is the virtually-prosoluble pattern.  Nilpotent class:
     the index of the hypercenter per level; bounded means the
     finite-by-pronilpotent pattern, diverging means positivity fails along
-    the tower (the probability sequence tends to the infimum 0).
+    the tower (the probability sequence tends to the infimum 0).  A
+    ``track`` the tower does not have is refused.
     """
+    if track is not None:
+        tower.track(track)
     indices = [G.order // len(_core(C, G)) for G in tower.levels]
     stabilized = len(indices) >= 2 and indices[-1] == indices[-2]
-    if C.name == SOLUBLE.name:
+    if C == SOLUBLE:
         verdict = "virtually prosoluble" if stabilized else "index still growing"
-    elif C.name != NILPOTENT.name:
+    elif C != NILPOTENT:
         verdict = "global omega index stabilized" if stabilized else "index still growing"
     elif stabilized:
         verdict = "finite-by-pronilpotent"

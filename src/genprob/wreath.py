@@ -348,8 +348,11 @@ def verify_lemma_mechanism(
     the conjugate of h by rho = m*z projects, at the identity coordinate, to
     a pair (alpha, beta^u) generating Alt(5) -- so <h, rho> is insoluble and
     rho cannot lie in the solubilizer.  Top elements z inside <g> are checked
-    to land in socle*<g> instead.
+    to land in socle*<g> instead.  A ``samples`` below 1 is refused, since
+    the certificate would then check no conjugate.
     """
+    if samples < 1:
+        raise GroupError(f"samples must be at least 1, got {samples}")
     g_top = T.g
     rng = random.Random(seed)
     g_elem = build_g(level, T, g_top)

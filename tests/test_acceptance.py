@@ -11,19 +11,18 @@ from click.testing import CliRunner
 from genprob import ElementSet, Permutation
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE
 from genprob.cli import main as cli_main
-from genprob.graphs import (
-    build_graph,
-    components_and_diameters,
-    quotient_graph_compatibility,
-)
-from genprob.probability import (
+from genprob.checks import (
     hall_bound_check,
+    partition_identity_check,
+    quotient_graph_compatibility,
+    quotient_monotonicity_check,
+)
+from genprob.graphs import build_graph, components_and_diameters
+from genprob.probability import (
     hypercenter,
     omega,
     omega_global,
-    partition_identity_check,
     prob_group,
-    quotient_monotonicity_check,
     soluble_radical,
 )
 from genprob.tower import dihedral_tower, monotonicity_report, positivity_verdict

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import genprob.classes as classes
 from genprob import FiniteGroup, Permutation, UnknownName
 from genprob.catalog import load
+from genprob.checks import closure_audit
 from genprob.classes import (
     ABELIAN,
     BUILTIN_CLASSES,
@@ -16,7 +17,6 @@ from genprob.classes import (
     NILPOTENT,
     SOLUBLE,
     class_by_name,
-    closure_audit,
     pair_by_predicate,
     pair_in_group,
     pair_key,

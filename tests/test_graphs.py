@@ -6,14 +6,11 @@ from click.testing import CliRunner
 
 from genprob.catalog import load
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE, pair_in_group
+import genprob.checks
+from genprob.checks import quotient_graph_compatibility
 from genprob.cli import main
 import genprob.graphs
-from genprob.graphs import (
-    ClassGraph,
-    build_graph,
-    components_and_diameters,
-    quotient_graph_compatibility,
-)
+from genprob.graphs import ClassGraph, build_graph, components_and_diameters
 from genprob.perm import Permutation
 from genprob.probability import omega, omega_global, prob_elem
 
@@ -271,7 +268,7 @@ class TestQuotientCompatibility:
             rows[w] &= ~(1 << v)
             return ClassGraph(H, C.name, graph.vertices, rows)
 
-        monkeypatch.setattr(genprob.graphs, "build_graph", without_one_edge)
+        monkeypatch.setattr(genprob.checks, "build_graph", without_one_edge)
         report = quotient_graph_compatibility(G)
         assert report.mismatches == 1
         assert report.holds is False

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from genprob import CapExceeded, ElementSet, EmptySet, FiniteGroup, Permutation
+from genprob import CapExceeded, ElementSet, EmptySet, FiniteGroup, Permutation, direct_product
 from genprob.catalog import load
 from genprob.classes import (
     ABELIAN,
@@ -17,21 +17,24 @@ from genprob.classes import (
 from genprob.errors import NotInGroup
 import genprob.checks
 import genprob.classes
+import genprob.graphs
 import genprob.probability
+from genprob.checks import (
+    averaging_identity_check,
+    hall_bound_check,
+    partition_identity_check,
+    quotient_monotonicity_check,
+)
 from genprob.probability import (
     IdentityReport,
     ProbabilityReport,
-    averaging_identity_check,
     center,
-    hall_bound_check,
     hypercenter,
     omega,
     omega_global,
-    partition_identity_check,
     prob_elem,
     prob_group,
     prob_sets,
-    quotient_monotonicity_check,
     soluble_radical,
     verify_identities,
 )
@@ -266,6 +269,60 @@ class TestGlobalOmega:
             assert len(core) * (G.order // len(soluble_radical(G))) == G.order
 
 
+# K(G) per class: the soluble radical, the hypercentre and the centre
+KERNELS = {"soluble": soluble_radical, "nilpotent": hypercenter, "abelian": center}
+PRODUCTS = {"D8xS4": ("D8", "S4"), "SL23xS3": ("SL23", "S3"),
+            "C4xA5": ("C4", "A5"), "D8xA5": ("D8", "A5")}
+RADICAL_GROUPS = ["C3xA5", "S3xA5", "Q8xS3", "S3xC2", "SL23", "D12", *PRODUCTS]
+# the groups whose K(G) is proper and nontrivial, per class
+PROPER_KERNELS = {
+    "soluble": ["C3xA5", "S3xA5", "C4xA5", "D8xA5"],
+    "nilpotent": [n for n in RADICAL_GROUPS if n != "S3xA5"],
+    "abelian": [n for n in RADICAL_GROUPS if n != "S3xA5"],
+}
+KERNEL_CASES = [(n, klass) for klass in (SOLUBLE, NILPOTENT, ABELIAN)
+                for n in PROPER_KERNELS[klass.name]]
+
+
+@functools.lru_cache(maxsize=None)
+def radical_group(name):
+    if name in PRODUCTS:
+        a, b = PRODUCTS[name]
+        return direct_product(catalog_group(a), catalog_group(b), name=name)
+    return catalog_group(name)
+
+
+class TestRadicalQuotient:
+    """Omega_S(x) is a union of R(G)-cosets and Omega_N(x) one of
+    Z_inf(G)-cosets, so P_C(x, G) = P_C(xK, G/K) for those K; the abelian
+    class has no such equality for K = Z(G), but its rows are unions of
+    Z(G)-cosets all the same."""
+
+    @pytest.mark.parametrize("name", RADICAL_GROUPS)
+    def test_kernels_are_proper_exactly_where_listed(self, name):
+        G = radical_group(name)
+        for class_name, kernel in KERNELS.items():
+            proper = 1 < len(kernel(G)) < G.order
+            assert proper == (name in PROPER_KERNELS[class_name]), class_name
+
+    @pytest.mark.parametrize("name, klass", KERNEL_CASES, ids=lambda c: getattr(c, "name", c))
+    def test_rows_are_unions_of_kernel_cosets(self, name, klass):
+        G = radical_group(name)
+        cosets = G.coset_partition(KERNELS[klass.name](G).as_subgroup())
+        for rep, _ in G.conjugacy_classes():
+            row = omega(klass, G, rep).members
+            assert all(c.members <= row or not c.members & row for c in cosets), str(rep)
+
+    @pytest.mark.parametrize("name, klass", [c for c in KERNEL_CASES if c[1] != ABELIAN],
+                             ids=lambda c: getattr(c, "name", c))
+    def test_quotient_by_the_kernel_is_exact(self, name, klass):
+        G = radical_group(name)
+        quotient, project = G.quotient(KERNELS[klass.name](G).as_subgroup(name="K"))
+        for rep, _ in G.conjugacy_classes():
+            assert (prob_elem(klass, G, rep).probability
+                    == prob_elem(klass, quotient, project(rep)).probability), str(rep)
+
+
 class TestLaws:
     def test_averaging(self):
         G = catalog_group("S4")
@@ -422,31 +479,31 @@ class TestReports:
 
 
 class TestCheckModule:
-    # the check-only code lives in genprob.checks; classes and probability
-    # serve its names on first use, with __all__ as before
+    # the check-only code lives in genprob.checks alone: classes,
+    # probability and graphs neither define nor serve its names
+    CHECK_NAMES = [
+        "closure_audit", "ClosureAuditReport", "CheckReport", "quotient_monotonicity_check",
+        "averaging_identity_check", "partition_identity_check", "hall_bound_check",
+        "CompatibilityReport", "quotient_graph_compatibility",
+    ]
     CLASSES_ALL = [
         "GroupClass", "ABELIAN", "NILPOTENT", "SOLUBLE", "BUILTIN_CLASSES",
-        "class_by_name", "test_pair", "pair_row", "closure_audit", "ClosureAuditReport",
+        "class_by_name", "test_pair", "pair_row",
     ]
     PROBABILITY_ALL = [
         "ProbabilityReport", "omega", "prob_elem", "prob_sets", "prob_group",
         "omega_global", "soluble_radical", "hypercenter", "center", "verify_identities",
-        "IdentityReport", "quotient_monotonicity_check", "averaging_identity_check",
-        "hall_bound_check", "CLASS_REDUCTION_THRESHOLD",
+        "IdentityReport", "CLASS_REDUCTION_THRESHOLD",
     ]
 
     def test_names_are_the_check_module_objects(self):
-        from genprob.classes import closure_audit
-        from genprob.probability import hall_bound_check as served
+        assert genprob.checks.__all__ == self.CHECK_NAMES
+        for name in self.CHECK_NAMES:
+            assert getattr(genprob.checks, name).__module__ == "genprob.checks"
+            for module in (genprob.classes, genprob.probability, genprob.graphs):
+                assert not hasattr(module, name), (module.__name__, name)
 
-        assert closure_audit is genprob.checks.closure_audit
-        assert served is genprob.checks.hall_bound_check
-        assert genprob.classes.ClosureAuditReport is genprob.checks.ClosureAuditReport
-        for name in ("CheckReport", "quotient_monotonicity_check",
-                     "averaging_identity_check", "partition_identity_check"):
-            assert getattr(genprob.probability, name) is getattr(genprob.checks, name)
-
-    def test_all_is_unchanged(self):
+    def test_all_lists_no_check_name(self):
         assert genprob.classes.__all__ == self.CLASSES_ALL
         assert genprob.probability.__all__ == self.PROBABILITY_ALL
         for module in (genprob.classes, genprob.probability):

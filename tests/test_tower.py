@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from genprob import CapExceeded, GroupError, Permutation
+from genprob import CapExceeded, GroupError, Permutation, UnknownName
 from genprob.catalog import load
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE
 from genprob.tower import (
@@ -61,6 +61,11 @@ class TestConstruction:
         # an odd composite within the cap is still refused
         with pytest.raises(GroupError, match="odd prime"):
             dihedral_tower(15, 2)
+
+    @pytest.mark.parametrize("n_max", [0, -2])
+    def test_rejects_a_tower_without_levels(self, n_max):
+        with pytest.raises(GroupError, match=f"at least one level, got n_max={n_max}"):
+            dihedral_tower(3, n_max)
 
     def test_bad_projection_rejected(self, tower3):
         broken = [lambda p: tower3.levels[0].identity for _ in range(3)]
@@ -141,6 +146,25 @@ class TestSequences:
         assert not report.monotone
         assert report.to_json()["monotone"] is False
         assert [lv["order"] for lv in report.to_json()["levels"]] == [2, 4, 8, 16]
+
+
+class TestUnknownTrack:
+    # the tower's tracks are x and r; any other name is refused, listing them
+    MESSAGE = r"unknown track 'zz'; expected one of \['r', 'x'\]"
+
+    def test_sequence_and_report(self, tower3):
+        with pytest.raises(UnknownName, match=self.MESSAGE):
+            prob_sequence(NILPOTENT, tower3, "zz")
+        with pytest.raises(UnknownName, match=self.MESSAGE):
+            monotonicity_report(NILPOTENT, tower3, "zz")
+
+    @pytest.mark.parametrize("klass", [ABELIAN, NILPOTENT, SOLUBLE], ids=lambda C: C.name)
+    def test_verdict(self, tower3, klass):
+        with pytest.raises(UnknownName, match=self.MESSAGE):
+            positivity_verdict(klass, tower3, track="zz")
+
+    def test_known_track(self, tower3):
+        assert tower3.track("r") == tower3.tracks["r"]
 
 
 class TestVerdicts:

@@ -341,6 +341,12 @@ class TestVerification:
         assert drawn(11) == first
         assert drawn(12) != first
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_mechanism_refuses_a_certificate_without_samples(self, level, T, samples):
+        # with no sampled conjugate the certificate would check nothing
+        with pytest.raises(GroupError, match=f"samples must be at least 1, got {samples}"):
+            verify_lemma_mechanism(level, T, samples=samples)
+
     def test_mechanism_seed_recorded(self, level, T):
         report = verify_lemma_mechanism(level, T, samples=2, seed=77)
         assert report.seed == 77
