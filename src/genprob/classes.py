@@ -6,7 +6,8 @@ subgroup generated by two elements belong to the class?  Pair enumeration
 dominates every probability and graph computation, so each built-in class
 carries a fast test that avoids building <x, y> where a cheap criterion
 exists (``decide_pair`` runs it, uncached, for the exhaustive oracles;
-``pair_in_group`` keeps its verdicts per (group, class) for the rest):
+``pair_in_group``, a plain verdict cache per (group, class), for the rest;
+each caller settles beforehand whether G itself lies in the class):
 
 * abelian: two generators commute (``perm.commute``).
 * nilpotent: split both elements into prime parts; the pair generates a
@@ -62,7 +63,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .errors import NotInGroup, UnknownName
+from .errors import UnknownName
 from .group import FiniteGroup, _conjugation_by, _orbits, _walk, bfs_closure
 from .perm import Permutation, commute, inv, mul, prime_component, tuple_order
 from .util import Frozen, pi_part, prime_factors
@@ -304,10 +305,11 @@ def class_by_name(name: str) -> GroupClass:
 # ---------------------------------------------------------------------------
 
 def test_pair(C: GroupClass, G: FiniteGroup, x: Permutation, y: Permutation) -> bool:
-    """Whether <x, y> lies in the class.  Results are cached per (G, C)."""
-    if not G.contains(x) or not G.contains(y):
-        raise NotInGroup("pair elements must lie in the group")
-    return pair_in_group(C, G, x.images, y.images)
+    """Whether <x, y> lies in the class.  Verdicts are cached per (G, C);
+    a group inside the class needs none, since the class is subgroup-closed."""
+    G._require_member(x)
+    G._require_member(y)
+    return C.predicate(G) or pair_in_group(C, G, x.images, y.images)
 
 
 def pair_key(xt: tuple, yt: tuple) -> tuple[tuple, tuple]:
@@ -324,11 +326,13 @@ def decide_pair(C: GroupClass, G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
 
 
 def pair_in_group(C: GroupClass, G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
-    """test_pair over image tuples, membership assumed; caches each verdict."""
-    # a subgroup-closed class containing G contains every <x, y>
-    if C.predicate(G):
-        return True
-    cache = G.pair_cache.setdefault(C.name, {})
+    """``decide_pair`` through G's pair cache: each verdict is decided once
+    per group and class.  The caller settles membership and whether G lies
+    in the class.  A built-in class keeps its verdicts under its name, any
+    other class under itself, so unequal classes of one name never share
+    a verdict."""
+    bucket = C.name if BUILTIN_CLASSES.get(C.name) is C else C
+    cache = G.pair_cache.setdefault(bucket, {})
     key = pair_key(xt, yt)
     hit = cache.get(key)
     if hit is None:

@@ -253,9 +253,11 @@ class FiniteGroup:
         self.order: int = chain.order()
         self._elements: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
-        # shared caches used by the class / probability machinery
-        self.pair_cache: dict[str, dict[tuple, bool]] = {}
-        self.row_cache: dict[tuple[str, tuple[int, ...]], ElementSet] = {}
+        # shared caches used by the class / probability machinery: pair
+        # verdicts per class (``classes.pair_in_group``), and Omega(x) rows
+        # keyed by (class, image tuple of x)
+        self.pair_cache: dict[object, dict[tuple, bool]] = {}
+        self.row_cache: dict[tuple[object, tuple[int, ...]], ElementSet] = {}
         # soluble pair test: orbit restriction -> soluble, keyed both by its
         # relabelling from its least point and by its canonical key
         self.restriction_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
@@ -323,6 +325,10 @@ class FiniteGroup:
             raise NotInGroup(f"element not in group {self!r}") from None
 
     def element_at(self, index: int) -> Permutation:
+        """The element at ``index`` of the enumeration; an index outside
+        0..order-1 is refused, since a negative one would count from the end."""
+        if not 0 <= index < self.order:
+            raise IndexError(f"element index {index} is not in 0..{self.order - 1}")
         return Permutation(self.element_tuples()[index])
 
     @property

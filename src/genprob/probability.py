@@ -14,14 +14,20 @@ Omega(x) rows use the elementwise analogue: membership of g in a soluble
 Omega(x) is constant on the orbits of g -> xg, g -> gx, g -> g^-1 and
 g -> c^-1 g c (c in C_G(x)), so ``classes.pair_row`` runs one pair test per
 orbit; an abelian Omega(x) is C_G(x), which it reads off the index tables.
-``omega`` keeps each row in ``G.row_cache``, the row store keyed by
-class name and the image tuple of x, so a row is computed once per group.
+``omega`` keeps each row in ``G.row_cache``, the row store keyed by the
+class itself and the image tuple of x, so a row is computed once per group
+and class.  It refuses a non-member through ``FiniteGroup._require_member``.
 Since <x, g> = <g, x>, g lies in Omega(G) iff Omega(g) = G: Omega(G) is the
 union of the classes whose representative pairs with every element.  The
 exhaustive count, ``omega_global(class_reduced=False)`` and
 ``classes.pair_by_predicate`` take the pairs one by one, with no orbit or
 class reduction and no pair cache: they are the oracles the reduced routes
 are checked against.
+
+For a built-in class Omega(G) is the soluble radical (Guralnick-
+Kunyavskii-Plotkin-Shalev, J. Algebra 300, 2006), the hypercenter or the
+centre.  ``_class_core`` is the one map from a class to that subgroup,
+which ``verify_identities`` checks and ``tower.positivity_verdict`` reads.
 """
 
 from __future__ import annotations
@@ -84,10 +90,9 @@ def omega(C: GroupClass, G: FiniteGroup, x: Permutation) -> ElementSet:
     of x-translation, inversion and C_G(x)-conjugation, and every other
     class one pair test per element; the row is kept in G.row_cache.
     """
-    key = (C.name, x.images)
+    key = (C, x.images)
     if key not in G.row_cache:
-        if not G.contains(x):
-            raise NotInGroup(f"{x} is not in {G!r}")
+        G._require_member(x)
         G.row_cache[key] = ElementSet(G, pair_row(C, G, x.images))
     return G.row_cache[key]
 
@@ -218,6 +223,18 @@ def center(G: FiniteGroup) -> ElementSet:
     return G.center()
 
 
+def _class_core(C: GroupClass, G: FiniteGroup) -> ElementSet:
+    """The subgroup Omega(G) equals for a built-in class, else Omega(G); each
+    branch calls a module-level name, so a wrapper bound there sees it."""
+    if C == SOLUBLE:
+        return soluble_radical(G)
+    if C == NILPOTENT:
+        return hypercenter(G)
+    if C == ABELIAN:
+        return center(G)
+    return omega_global(C, G)
+
+
 class IdentityReport(Record):
     def __init__(self, group: str, results: dict[str, bool] | None = None) -> None:
         self.group = group
@@ -235,11 +252,8 @@ def verify_identities(G: FiniteGroup) -> IdentityReport:
     hypercenter, omega_global(abelian) = center.
     """
     report = IdentityReport(_group_label(G))
-    for name, C, oracle in (
-        ("soluble_radical", SOLUBLE, soluble_radical),
-        ("hypercenter", NILPOTENT, hypercenter),
-        ("center", ABELIAN, center),
-    ):
-        report.results[name] = omega_global(C, G).members == oracle(G).members
+    for name, C in (("soluble_radical", SOLUBLE), ("hypercenter", NILPOTENT),
+                    ("center", ABELIAN)):
+        report.results[name] = omega_global(C, G).members == _class_core(C, G).members
     return report
 

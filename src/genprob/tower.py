@@ -5,7 +5,9 @@ projections between consecutive levels, plus named element tracks that
 commute with the projections.  Probability sequences along a tower realize
 the infimum-over-quotients description of the profinite probability; the
 report states the last value plus a non-increase certificate, never a
-claimed limit.
+claimed limit.  The positivity verdict follows the index per level of
+Omega(G), which ``probability._class_core`` reads for a built-in class as
+the soluble radical, hypercenter or centre, with no pair test.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from typing import Callable, NamedTuple
 
 from .classes import GroupClass, NILPOTENT, SOLUBLE
 from .errors import CapExceeded, GroupError, UnknownName
-from .group import DEFAULT_MATERIALIZATION_CAP, ElementSet, FiniteGroup
+from .group import DEFAULT_MATERIALIZATION_CAP, FiniteGroup
 from .perm import Permutation
-from .probability import hypercenter, omega_global, prob_elem, soluble_radical
+from .probability import _class_core, prob_elem
 from .util import Record, prime_factors, rational
 
 __all__ = [
@@ -41,6 +43,8 @@ class QuotientTower(Record):
         self.levels = levels
         self.projections = projections
         self.tracks = {} if tracks is None else tracks
+        if not self.levels:
+            raise GroupError("a tower needs at least one level")
         if len(self.projections) != len(self.levels) - 1:
             raise GroupError("need one projection per consecutive level pair")
         self._verify()
@@ -138,6 +142,8 @@ class MonotonicityReport(Record):
         self.track = track
         self.sequence = sequence
         self.orders = orders  # the group order per level
+        if not sequence:
+            raise GroupError("a monotonicity report needs at least one level")
 
     @property
     def violations(self) -> list[int]:
@@ -186,15 +192,6 @@ class PositivityReport(NamedTuple):
     verdict: str
 
 
-def _core(C: GroupClass, G: FiniteGroup) -> ElementSet:
-    """The set whose index per level the verdict follows."""
-    if C == SOLUBLE:
-        return soluble_radical(G)
-    if C == NILPOTENT:
-        return hypercenter(G)
-    return omega_global(C, G)
-
-
 def positivity_verdict(
     C: GroupClass, tower: QuotientTower, track: str | None = None
 ) -> PositivityReport:
@@ -204,13 +201,16 @@ def positivity_verdict(
     index sequence is the virtually-prosoluble pattern.  Nilpotent class:
     the index of the hypercenter per level; bounded means the
     finite-by-pronilpotent pattern, diverging means positivity fails along
-    the tower (the probability sequence tends to the infimum 0).  A
-    ``track`` the tower does not have is refused.
+    the tower (the probability sequence tends to the infimum 0).  Abelian
+    class: the index of the centre.  One level shows no trend, whatever the
+    class.  A ``track`` the tower does not have is refused.
     """
     if track is not None:
         tower.track(track)
-    indices = [G.order // len(_core(C, G)) for G in tower.levels]
-    stabilized = len(indices) >= 2 and indices[-1] == indices[-2]
+    indices = [G.order // len(_class_core(C, G)) for G in tower.levels]
+    if len(indices) == 1:
+        return PositivityReport(tower.name, C.name, indices, "one level shows no trend")
+    stabilized = indices[-1] == indices[-2]
     if C == SOLUBLE:
         verdict = "virtually prosoluble" if stabilized else "index still growing"
     elif C != NILPOTENT:

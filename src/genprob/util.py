@@ -8,7 +8,10 @@ from typing import Iterable
 
 
 def prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, ascending."""
+    """The distinct primes dividing n, ascending; an n below 1 is refused,
+    as ``pi_part`` refuses it."""
+    if n < 1:
+        raise ValueError(f"not a positive integer: {n}")
     out = []
     d = 2
     while d * d <= n:

@@ -29,7 +29,7 @@ from genprob.classes import (
     _prime_parts,
     _relabel,
 )
-from genprob.errors import CapExceeded, NotInGroup
+from genprob.errors import CapExceeded, DegreeMismatch, NotInGroup
 from genprob.group import _order_forces_soluble
 from genprob.perm import conj, identity_tuple, inv, mul, prime_component, tuple_order
 from genprob.probability import omega, prob_elem, prob_group, verify_identities
@@ -137,6 +137,37 @@ class TestPairTest:
     def test_pair_key_is_least_first(self):
         x, y = (1, 0, 2), (0, 2, 1)
         assert pair_key(x, y) == pair_key(y, x) == (y, x)
+
+    def test_group_inside_the_class_stores_no_verdict(self):
+        # a subgroup-closed class containing S4 contains every <x, y>, so
+        # test_pair answers from the predicate and leaves the cache alone
+        G = load("S4")
+        assert check_pair(SOLUBLE, G, P("(1,2)", 4), P("(1,2,3,4)", 4))
+        assert G.pair_cache == {}
+
+    def test_verdicts_of_unequal_classes_of_one_name_stay_apart(self):
+        # a class named "nilpotent" with the soluble predicate and test read
+        # the nilpotent verdicts stored under that name, 1 020 of them wrong
+        fake = GroupClass("nilpotent", SOLUBLE.predicate, SOLUBLE.fast_pair)
+        G, fresh = load("A5"), load("A5")
+        pairs = [(x, y) for x in G.elements() for y in G.elements()]
+        for x, y in pairs:
+            check_pair(NILPOTENT, G, x, y)
+        assert ([check_pair(fake, G, x, y) for x, y in pairs]
+                == [check_pair(fake, fresh, x, y) for x, y in pairs])
+
+
+@pytest.mark.parametrize("route", [
+    lambda G, x: check_pair(SOLUBLE, G, x, G.identity),
+    lambda G, x: check_pair(SOLUBLE, G, G.identity, x),
+    lambda G, x: omega(SOLUBLE, G, x),
+], ids=["test_pair-first", "test_pair-second", "omega"])
+def test_pair_and_omega_refuse_a_non_member_alike(route):
+    G = catalog_group("A4")
+    with pytest.raises(NotInGroup, match=r"\(1,2\) is not an element of <FiniteGroup A4"):
+        route(G, P("(1,2)", 4))
+    with pytest.raises(DegreeMismatch):
+        route(G, Permutation.identity(5))
 
 
 def random_pairs(name, seed, count):

@@ -351,6 +351,14 @@ class TestWreathAndTower:
         assert report["inf_upper_bound"] == {"num": 1, "den": 81}
         assert "not nilpotent-positive" in report["verdict"]
 
+    @pytest.mark.parametrize("klass", ["abelian", "nilpotent", "soluble"])
+    def test_tower_of_one_level_shows_no_trend(self, runner, klass):
+        result, report = run_json(
+            runner, ["tower", "dihedral", "--prime", "3", "--levels", "1", "--class", klass])
+        assert result.exit_code == 0
+        assert len(report["levels"]) == 1
+        assert report["verdict"] == "one level shows no trend"
+
     def test_tower_soluble_constant_one(self, runner):
         result, report = run_json(
             runner,

@@ -90,6 +90,12 @@ class TestCanonicalEnumeration:
         G2 = FiniteGroup(5, [a, b])
         assert G1.element_tuples() == G2.element_tuples()
 
+    @pytest.mark.parametrize("index", [-1, 24])
+    def test_element_at_refuses_an_index_outside_the_enumeration(self, index):
+        # -1 counted from the end and gave (1,2,4)
+        with pytest.raises(IndexError, match=f"element index {index} is not in 0..23"):
+            catalog_group("S4").element_at(index)
+
     def test_index_roundtrip(self):
         G = catalog_group("S4")
         for i in range(G.order):

@@ -9,6 +9,7 @@ from genprob import FiniteGroup, Permutation
 from genprob.errors import DegreeMismatch, ParseError
 from genprob.perm import identity_tuple, inv, mul
 from genprob.tower import dihedral_tower
+from genprob.util import prime_factors
 
 from conftest import run_python
 
@@ -207,6 +208,13 @@ def test_prime_below_two_is_refused(call):
         f"try:\n    {call}\nexcept ValueError as e:\n    print(e)\n", timeout=10)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("not a prime: ")
+
+
+@pytest.mark.parametrize("n", [0, -6])
+def test_prime_factors_refuses_n_below_one(n):
+    # both gave [], as if n had no prime divisor, where pi_part refuses them
+    with pytest.raises(ValueError, match=f"^not a positive integer: {n}$"):
+        prime_factors(n)
 
 
 @pytest.mark.parametrize("call, message", [

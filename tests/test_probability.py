@@ -211,6 +211,17 @@ def test_exhaustive_oracles_ignore_the_pair_cache(name, klass):
     assert G.pair_cache == flipped
 
 
+def test_rows_of_unequal_classes_of_one_name_stay_apart():
+    # GroupClass equality is (name, predicate): a class named "soluble" with
+    # the nilpotent predicate and test read SOLUBLE's full row of S4
+    fake = GroupClass("soluble", NILPOTENT.predicate, NILPOTENT.fast_pair)
+    G = load("S4")
+    x = G.element_at(5)
+    assert len(omega(SOLUBLE, G, x)) == 24
+    assert omega(fake, G, x).members == omega(fake, load("S4"), x).members
+    assert len(omega(fake, G, x)) == 16
+
+
 class TestGlobalOmega:
     def test_reduced_matches_brute(self):
         for name in ("S4", "A5", "D12", "SL23", "PSL27"):

@@ -5,6 +5,7 @@ import pytest
 from genprob import CapExceeded, GroupError, Permutation, UnknownName
 from genprob.catalog import load
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE
+from genprob.probability import omega_global
 from genprob.tower import (
     MonotonicityReport,
     QuotientTower,
@@ -71,6 +72,11 @@ class TestConstruction:
         broken = [lambda p: tower3.levels[0].identity for _ in range(3)]
         with pytest.raises(GroupError):
             QuotientTower("broken", list(tower3.levels), broken)
+
+    def test_tower_without_levels_rejected(self):
+        # it was refused as lacking a projection, of which it needs -1
+        with pytest.raises(GroupError, match="^a tower needs at least one level$"):
+            QuotientTower("t", [], [])
 
     def test_missing_projection_rejected(self):
         S3 = load("S3")
@@ -139,6 +145,11 @@ class TestSequences:
             {"order": 6, "probability": {"num": 1, "den": 3}}
         ]
 
+    def test_report_without_levels_rejected(self):
+        # to_json ended in IndexError, looking for the last probability
+        with pytest.raises(GroupError, match="report needs at least one level"):
+            MonotonicityReport("t", "c", "x", [], [])
+
     def test_violations_are_read_from_the_sequence(self):
         seq = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)]
         report = MonotonicityReport("t", "nilpotent", "x", seq, [2, 4, 8, 16])
@@ -202,6 +213,28 @@ class TestVerdicts:
         verdict = positivity_verdict(ABELIAN, constant)
         assert verdict.indices == [6, 6]
         assert verdict.verdict == "global omega index stabilized"
+
+    @pytest.mark.parametrize("klass, index", [(ABELIAN, 6), (NILPOTENT, 6), (SOLUBLE, 1)],
+                             ids=lambda v: getattr(v, "name", str(v)))
+    @pytest.mark.parametrize("track", [None, "x"])
+    def test_one_level_shows_no_trend(self, klass, index, track):
+        # one index is neither growing, nor diverging, nor stabilized
+        verdict = positivity_verdict(klass, dihedral_tower(3, 1), track=track)
+        assert verdict.indices == [index]
+        assert verdict.verdict == "one level shows no trend"
+
+    def test_abelian_indices_match_the_brute_force_core(self):
+        # the abelian index reads the centre, with no pair test; the
+        # pair-by-pair Omega(G) stays its independent oracle
+        t = dihedral_tower(3, 1)
+        for tower in (dihedral_tower(3, 3),
+                      QuotientTower("constant", [t.levels[0]] * 2, [lambda p: p])):
+            verdict = positivity_verdict(ABELIAN, tower)
+            assert all(G.pair_cache == {} for G in tower.levels)
+            assert verdict.indices == [
+                G.order // len(omega_global(ABELIAN, G, class_reduced=False))
+                for G in tower.levels
+            ]
 
     def test_nilpotent_without_track_diverges(self, tower3):
         verdict = positivity_verdict(NILPOTENT, tower3)
