@@ -49,6 +49,9 @@ cap_option = click.option(
     "--cap", type=int, default=DEFAULT_MATERIALIZATION_CAP, envvar=CAP_ENV,
     help=f"Materialization cap (default from ${CAP_ENV} or "
          f"{DEFAULT_MATERIALIZATION_CAP}).")
+group_option = click.option(
+    "--group", "group_source", required=True,
+    help="Catalog name or path to a group-spec file.")
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 class_option = click.option(
@@ -167,8 +170,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--group", "group_source", required=True,
-              help="Catalog name or path to a group-spec file.")
+@group_option
 @class_option
 @format_option
 @cap_option
@@ -214,7 +216,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
 
 
 @main.command()
-@click.option("--group", "group_source", required=True)
+@group_option
 @class_option
 @format_option
 @cap_option

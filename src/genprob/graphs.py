@@ -11,8 +11,9 @@ been moved from it, so the built graph holds the bitsets alone.
 
 A breadth-first search takes one level per step: the next level is the OR of
 the rows over the frontier, less the vertices seen.  Eccentricities are
-searched from class representatives only; the maximum over representatives
-is the true diameter.
+searched from class representatives only, one search each; one more search
+per component finds its members, and the maximum over its representatives
+is its true diameter.
 """
 
 from __future__ import annotations
@@ -84,10 +85,19 @@ class ClassGraph(Record):
     def is_empty(self) -> bool:
         return not self.vertices.members
 
+    def _require_vertex(self, v: int) -> None:
+        """Refuse an index outside 0..order-1: a negative one would count
+        from the end of ``rows``, a large one would read no bit."""
+        if not 0 <= v < len(self.rows):
+            raise IndexError(f"vertex {v} is not in 0..{len(self.rows) - 1}")
+
     def neighbors(self, v: int) -> list[int]:
+        self._require_vertex(v)
         return _bits(self.rows[v])
 
     def adjacent(self, v: int, w: int) -> bool:
+        self._require_vertex(v)
+        self._require_vertex(w)
         return bool(self.rows[v] >> w & 1)
 
     def edge_count(self) -> int:
@@ -183,37 +193,27 @@ def _search(graph: ClassGraph, source: int) -> tuple[int, int]:
 def components_and_diameters(graph: ClassGraph) -> GraphReport:
     """Connected components and per-component diameters.
 
-    Per-vertex eccentricity equals that of its class representative, so the
-    search runs from representatives only; a component's diameter is the
-    maximum of those eccentricities over its vertices; a component search
-    that starts at a representative is not repeated for its eccentricity.
-    An isolated vertex's representative is isolated too, so a singleton
-    component has diameter 0.  The empty graph has no component.
+    Per-vertex eccentricity equals that of its class representative, so one
+    search per representative gives every eccentricity; then one search per
+    component, from its least unplaced vertex, gives its members.  A
+    component's diameter is the maximum eccentricity over its vertices'
+    representatives.  An isolated vertex's representative is isolated too,
+    so a singleton component has diameter 0.  The empty graph has no
+    component.
     """
     G = graph.group
     report = GraphReport(_group_label(G), graph.class_name, len(graph.vertices.members), [])
     vertex_set = graph.vertices.members
     reps, _, class_of = G._conjugacy_data()
+    # the vertex set is a union of classes: these are its representatives
+    eccentricities = {r: _search(graph, r)[1] for r in reps if r in vertex_set}
     unplaced = _bitset(vertex_set, G.order)
-    component_members: list[list[int]] = []
-    eccentricities: dict[int, int] = {}
     while unplaced:
         # the least vertex left, so each component is labelled by its least
         v = (unplaced & -unplaced).bit_length() - 1
-        reached, eccentricity = _search(graph, v)
+        reached = _search(graph, v)[0]
         unplaced &= ~reached
-        component_members.append(_bits(reached))
-        if reps[class_of[v]] == v:
-            eccentricities[v] = eccentricity
-
-    # the vertex set is a union of classes: these are its representatives
-    for r in [r for r in reps if r in vertex_set]:
-        if r not in eccentricities:
-            eccentricities[r] = _search(graph, r)[1]
-
-    for members in component_members:
-        diameter = max(eccentricities[reps[class_of[v]]] for v in members)
-        report.components.append(
-            {"label": members[0], "size": len(members), "diameter": diameter}
-        )
+        members = _bits(reached)
+        diameter = max(eccentricities[reps[class_of[w]]] for w in members)
+        report.components.append({"label": v, "size": len(members), "diameter": diameter})
     return report

@@ -613,7 +613,14 @@ class ElementSet(Frozen):
         return len(self.members)
 
     def __contains__(self, p: Permutation) -> bool:
-        return self.group.index_of(p) in self.members
+        """Answered as ``FiniteGroup.__contains__`` answers: an element of
+        another degree is refused, one outside the group is not in the set."""
+        try:
+            return self.group.index_of(p) in self.members
+        except NotInGroup:
+            # index_of finds every element of the group, so this refuses
+            # another degree or answers False
+            return self.group.contains(p)
 
     def perms(self) -> list[Permutation]:
         return [self.group.element_at(i) for i in sorted(self.members)]

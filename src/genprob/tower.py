@@ -144,6 +144,11 @@ class MonotonicityReport(Record):
         self.orders = orders  # the group order per level
         if not sequence:
             raise GroupError("a monotonicity report needs at least one level")
+        if len(orders) != len(sequence):
+            raise GroupError(
+                f"{len(orders)} orders for {len(sequence)} probabilities: "
+                "a monotonicity report needs one order per level"
+            )
 
     @property
     def violations(self) -> list[int]:

@@ -169,6 +169,19 @@ class TestGraph:
         assert report["empty"] is True
         assert report["vertices"] == 0
 
+    def test_s4_abelian_has_no_bound(self, runner):
+        # the paper bounds no abelian graph's diameter, so nothing is checked
+        result, report = run_json(runner, ["graph", "--group", "S4", "--class", "abelian"])
+        assert result.exit_code == 0
+        assert report["empty"] is False
+        assert report["bounds"] == {}
+        assert report["passed"] is True
+
+    def test_group_option_is_described_alike(self, runner):
+        for command in ("analyze", "graph"):
+            result = runner.invoke(main, [command, "--help"])
+            assert "Catalog name or path to a group-spec file." in result.output
+
     def test_s5_nilpotent_bound(self, runner):
         result, report = run_json(runner, ["graph", "--group", "S5", "--class", "nilpotent"])
         assert result.exit_code == 0

@@ -124,6 +124,17 @@ class TestBuild:
         for v in g.vertices.members:
             assert v not in g.neighbors(v)
 
+    @pytest.mark.parametrize("v, w", [(-1, 1), (1, -1), (3, 60), (60, 3), (3, 65)])
+    def test_vertex_outside_the_group_is_refused(self, v, w):
+        # -1 read the last element's row, 65 read no bit, 60 ran off the rows
+        g = build_graph(SOLUBLE, catalog_group("A5"))
+        bad = v if not 0 <= v < 60 else w
+        with pytest.raises(IndexError, match=f"vertex {bad} is not in 0..59"):
+            g.adjacent(v, w)
+        if bad == v:
+            with pytest.raises(IndexError, match=f"vertex {v} is not in 0..59"):
+                g.neighbors(v)
+
     def test_to_dot(self):
         g = build_graph(NILPOTENT, catalog_group("S3"))
         dot = g.to_dot()
@@ -156,9 +167,10 @@ class TestDiameters:
         report = components_and_diameters(g)
         assert report.max_diameter == brute
 
-    def test_component_search_doubles_as_eccentricity_search(self, monkeypatch):
-        # S6's soluble graph is one component whose least vertex represents
-        # its class, so 10 vertex classes take 10 searches, not 11
+    def test_one_search_per_vertex_class_and_per_component(self, monkeypatch):
+        # S6's soluble graph is one component of 10 vertex classes: a search
+        # from each representative, then one from the component's least
+        # vertex, itself a representative
         calls = []
         search = genprob.graphs._search
 
@@ -170,7 +182,9 @@ class TestDiameters:
         monkeypatch.setattr(genprob.graphs, "_search", counted)
         report = components_and_diameters(g)
         assert len(report.components) == 1
-        assert len(calls) == len(set(calls)) == 10
+        assert len(calls) == 11
+        assert len(set(calls)) == 10
+        assert calls[-1] == report.components[0]["label"]
 
     def test_worker_count_does_not_change_result(self):
         # --workers is accepted and ignored

@@ -425,6 +425,19 @@ class TestElementSet:
         assert a != frozenset({0, 1})
         assert ElementSet(S4) == ElementSet(S4, frozenset())
 
+    def test_membership_answers_as_the_group_does(self):
+        # an element outside the group raised NotInGroup, and one of
+        # another degree NotInGroup in place of DegreeMismatch
+        A5 = catalog_group("A5")
+        transposition = P("(1,2)", 5)
+        assert transposition not in A5
+        assert transposition not in A5.center()
+        assert A5.identity in A5.center()
+        assert P("(1,2,3)", 5) not in A5.center()
+        for S in (A5, A5.center()):
+            with pytest.raises(DegreeMismatch):
+                P("(1,2,3)", 6) in S
+
     def test_members_are_checked_and_frozen(self):
         S4 = catalog_group("S4")
         with pytest.raises(ValueError):

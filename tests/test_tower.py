@@ -4,7 +4,7 @@ import pytest
 
 from genprob import CapExceeded, GroupError, Permutation, UnknownName
 from genprob.catalog import load
-from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE
+from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE, GroupClass
 from genprob.probability import omega_global
 from genprob.tower import (
     MonotonicityReport,
@@ -150,6 +150,12 @@ class TestSequences:
         with pytest.raises(GroupError, match="report needs at least one level"):
             MonotonicityReport("t", "c", "x", [], [])
 
+    def test_report_with_an_order_per_level_only(self):
+        # the JSON listed one level, yet took inf_upper_bound from the
+        # probability it dropped
+        with pytest.raises(GroupError, match="1 orders for 2 probabilities"):
+            MonotonicityReport("t", "c", "x", [Fraction(1, 2), Fraction(1, 3)], [6])
+
     def test_violations_are_read_from_the_sequence(self):
         seq = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)]
         report = MonotonicityReport("t", "nilpotent", "x", seq, [2, 4, 8, 16])
@@ -204,6 +210,14 @@ class TestVerdicts:
     def test_abelian_index_still_growing(self):
         # D(2*3^n) has trivial centre, so the index is the order
         verdict = positivity_verdict(ABELIAN, dihedral_tower(3, 3))
+        assert verdict.indices == [6, 18, 54]
+        assert verdict.verdict == "index still growing"
+
+    def test_class_without_a_builtin_core_reads_omega(self):
+        # a class other than the three built-in ones takes Omega(G) itself;
+        # with the nilpotent predicate it meets the hypercentre's indices
+        p_nilpotent = GroupClass("p-nilpotent", NILPOTENT.predicate, NILPOTENT.fast_pair)
+        verdict = positivity_verdict(p_nilpotent, dihedral_tower(3, 3))
         assert verdict.indices == [6, 18, 54]
         assert verdict.verdict == "index still growing"
 
