@@ -125,11 +125,12 @@ def averaging_identity_check(C: GroupClass, G: FiniteGroup, X: ElementSet) -> Ch
     minimum over X."""
     if not X.members:
         raise EmptySet("averaging check requires nonempty X")
+    # prob_sets refuses a set of another group before any row is computed
+    pair_count = prob_sets(C, G, X, ElementSet(G, frozenset(range(G.order)))).favorable
     elems = G.element_tuples()
     omega_sizes = [
         len(omega(C, G, Permutation(elems[i]))) for i in sorted(X.members)
     ]
-    pair_count = prob_sets(C, G, X, ElementSet(G, frozenset(range(G.order)))).favorable
     total = sum(omega_sizes)
     p_set = Fraction(pair_count, len(X) * G.order)
     average = Fraction(total, len(X) * G.order)
@@ -153,6 +154,8 @@ def partition_identity_check(
     Y = ElementSet(G, frozenset().union(*(p.members for p in Y_parts)))
     if len(X) != sum(len(p) for p in X_parts) or len(Y) != sum(len(p) for p in Y_parts):
         raise ValueError("parts must be disjoint")
+    if len({len(p) for p in X_parts}) > 1 or len({len(p) for p in Y_parts}) > 1:
+        raise ValueError("parts must be of equal size")
     whole = prob_sets(C, G, X, Y).probability
     parts = sum(
         prob_sets(C, G, Xi, Yj).probability for Xi in X_parts for Yj in Y_parts

@@ -157,12 +157,15 @@ def _relabel(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tuple], lis
     return (tuple(xr), tuple([label[yt[p]] for p in points])), points
 
 
-def restriction_key(xt: tuple, yt: tuple, start: int) -> tuple[tuple[tuple, tuple], list[int]]:
-    """The cache key of the restriction of x and y to the orbit of
-    ``start``, with its points in label order: the first least ``_relabel``
-    over the orbit's start points, in label order.  Equal keys mean the same
-    pair of permutations up to renaming points."""
-    points = _relabel(xt, yt, start)[1]
+def restriction_key(
+    xt: tuple, yt: tuple, points: Sequence[int]
+) -> tuple[tuple[tuple, tuple], list[int]]:
+    """The cache key of the restriction of x and y to an orbit of <x, y>,
+    given the orbit's ``points`` as ``_relabel`` lists them, with its points
+    in label order: the first least ``_relabel`` over the orbit's start
+    points, in the order given.  Equal keys mean the same pair of
+    permutations up to renaming points; the order of ``points`` does not
+    change the key."""
     # x'[0] is 0 exactly when x fixes the start point, and keys compare x'
     # first: when x fixes a point of the orbit, only those starts can win
     starts = [p for p in points if xt[p] == p] or points
@@ -274,7 +277,7 @@ def _soluble_pair(G: FiniteGroup, xt: tuple, yt: tuple) -> bool:
             seen[p] = 1
         result = cache.get(first[0])
         if result is None:
-            key = restriction_key(xt, yt, start)[0]
+            key = restriction_key(xt, yt, first[1])[0]
             result = cache.get(key)
             if result is None:
                 result = cache[key] = _soluble_restriction(G, *key)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 import click
 
@@ -75,20 +74,17 @@ class InputError(SystemExit):
         return self.message
 
 
-def _refuse(message: str) -> NoReturn:
-    click.echo(f"Error: {message}", err=True)
-    raise InputError(message)
-
-
 class _Main(click.Group):
-    """The top-level command group: any ``GroupError`` a subcommand raises
-    is bad input, so it exits 2 instead of ending in a traceback."""
+    """The top-level command group and the one refusal route: any
+    ``GroupError`` a subcommand raises is bad input, so it prints one
+    ``Error:`` line and exits 2 instead of ending in a traceback."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except GroupError as exc:
-            _refuse(str(exc))
+            click.echo(f"Error: {exc}", err=True)
+            raise InputError(str(exc))
 
 
 def _load_group(source: str, cap: int) -> FiniteGroup:
@@ -100,7 +96,7 @@ def _load_group(source: str, cap: int) -> FiniteGroup:
         try:
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
-            _refuse(f"cannot read group file {source}: {exc}")
+            raise GroupError(f"cannot read group file {source}: {exc}") from None
         return parse_group_spec(text, cap=cap, name=path.stem)
     return load(source, cap=cap)
 
@@ -186,7 +182,7 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
     G = _load_group(group_source, cap)
     C = class_by_name(class_name)
     if G.order ** 2 > pair_budget:
-        _refuse(f"pair budget: {G.order}^2 pairs exceed --pair-budget {pair_budget}")
+        raise GroupError(f"pair budget: {G.order}^2 pairs exceed --pair-budget {pair_budget}")
 
     per_rep = []
     for rep, size in G.conjugacy_classes():
@@ -245,14 +241,14 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int,
 
     if dot_path is not None:
         if len(g.vertices) > DOT_VERTEX_LIMIT:
-            _refuse(
+            raise GroupError(
                 f"DOT dump limited to {DOT_VERTEX_LIMIT} vertices "
                 f"(graph has {len(g.vertices)})"
             )
         try:
             dot_path.write_text(g.to_dot() + "\n")
         except OSError as exc:
-            _refuse(f"cannot write DOT file {dot_path}: {exc}")
+            raise GroupError(f"cannot write DOT file {dot_path}: {exc}") from None
 
     _finish(report, fmt, all(bounds.values()))
 

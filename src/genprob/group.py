@@ -265,7 +265,6 @@ class FiniteGroup:
         self.prime_part_cache: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         self._class_data: tuple | None = None
         self._regular: tuple | None = None
-        self._conjugation_tables: list[list[int]] | None = None
 
     # -- identity / keys ----------------------------------------------------
 
@@ -437,10 +436,8 @@ class FiniteGroup:
     def conjugation_tables(self) -> list[list[int]]:
         """Conjugation by each generator s, in generator order: ``t[i]`` is
         the index of s^-1 g_i s, L_{s^-1} followed by R_s."""
-        if self._conjugation_tables is None:
-            right, inverse, _ = self._regular_tables()
-            self._conjugation_tables = [_conjugation_by(inverse, r) for r in right]
-        return self._conjugation_tables
+        right, inverse, _ = self._regular_tables()
+        return [_conjugation_by(inverse, r) for r in right]
 
     def _conjugacy_data(self) -> tuple[list[int], list[int], list[int]]:
         """Returns (rep indices, class sizes, class id per element).

@@ -485,11 +485,11 @@ class TestRestrictionKey:
             # the conjugate sends sigma(p) to sigma(x(p))
             xs, ys = (mul(mul(inv(sigma), t), sigma) for t in (xt, yt))
             for start in range(n):
-                key, points = restriction_key(xt, yt, start)
+                key, points = restriction_key(xt, yt, _relabel(xt, yt, start)[1])
                 self.assert_decodes(xt, yt, start, key, points)
                 # every start point of an orbit gives the same key
-                assert restriction_key(xt, yt, points[-1])[0] == key
-                other, other_points = restriction_key(xs, ys, sigma[start])
+                assert restriction_key(xt, yt, _relabel(xt, yt, points[-1])[1])[0] == key
+                other, other_points = restriction_key(xs, ys, _relabel(xs, ys, sigma[start])[1])
                 self.assert_decodes(xs, ys, sigma[start], other, other_points)
                 assert other == key
 
@@ -505,9 +505,21 @@ class TestRestrictionKey:
             for start in range(n):
                 orbit = _relabel(xt, yt, start)[1]
                 least = min((_relabel(xt, yt, s) for s in orbit), key=itemgetter(0))
-                assert restriction_key(xt, yt, start) == least
+                assert restriction_key(xt, yt, orbit) == least
                 fixed_starts += least[0][0][0] == 0
         assert fixed_starts
+
+    @pytest.mark.parametrize("name", ["PSL27", "S7", "M12"])
+    def test_key_ignores_the_order_of_the_orbit(self, name):
+        rng = random.Random(sum(name.encode()))
+        n, draw = element_draws(name, rng)
+        for _ in range(40):
+            xt, yt = draw(), draw()
+            for start in range(n):
+                points = _relabel(xt, yt, start)[1]
+                key = restriction_key(xt, yt, points)[0]
+                assert restriction_key(xt, yt, points[::-1])[0] == key
+                assert restriction_key(xt, yt, sorted(points))[0] == key
 
 
 class TestRestrictionLookup:
@@ -549,7 +561,7 @@ class TestRestrictionLookup:
                 for start in range(G.degree):
                     if start in seen:
                         continue
-                    key, points = restriction_key(xt, yt, start)
+                    key, points = restriction_key(xt, yt, _relabel(xt, yt, start)[1])
                     seen.update(points)
                     expected.add(key)
                     if not verdicts[key]:
@@ -634,7 +646,7 @@ class TestInsolubilityCertificate:
             seen = set()
             for start in range(n):
                 if start not in seen:
-                    key, points = restriction_key(xt, yt, start)
+                    key, points = restriction_key(xt, yt, _relabel(xt, yt, start)[1])
                     seen.update(points)
                     if len(points) > 4:
                         certified.append(check_certificate(*key))

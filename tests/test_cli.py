@@ -265,6 +265,18 @@ class TestInputErrors:
         dot = tmp_path / "missing-dir" / "g.dot"
         assert "cannot write DOT file" in self.graph_dot(runner, dot)
 
+    def test_pair_budget(self, runner):
+        stderr = self.refused(
+            runner, ["analyze", "--group", "S5", "--class", "abelian", "--pair-budget", "100"])
+        assert "pair budget" in stderr
+
+    def test_dot_vertex_limit(self, runner, tmp_path):
+        dot = tmp_path / "x.dot"
+        stderr = self.refused(
+            runner, ["graph", "--group", "S6", "--class", "soluble", "--dot", str(dot)])
+        assert "graph has 719" in stderr
+        assert not dot.exists()
+
     def refused_usage(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2

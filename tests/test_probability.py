@@ -352,6 +352,16 @@ class TestLaws:
         with pytest.raises(EmptySet):
             averaging_identity_check(SOLUBLE, G, ElementSet(G, frozenset()))
 
+    @pytest.mark.parametrize("index", [20, 3])
+    def test_averaging_refuses_a_set_of_another_group(self, index):
+        # an index into S4 names no element of A4: the set is refused before
+        # any row of A4 is computed, also where A4 has an element of that index
+        A4 = load("A4")
+        X = ElementSet(catalog_group("S4"), frozenset({index}))
+        with pytest.raises(NotInGroup):
+            averaging_identity_check(SOLUBLE, A4, X)
+        assert not A4.row_cache
+
     def test_quotient_monotonicity(self):
         S4 = catalog_group("S4")
         V = S4.subgroup([P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4)])
@@ -379,6 +389,15 @@ class TestLaws:
         parts = [ElementSet(G, frozenset({0, 1})), ElementSet(G, frozenset({1, 2}))]
         with pytest.raises(ValueError, match="parts must be disjoint"):
             partition_identity_check(SOLUBLE, G, parts, parts)
+
+    def test_parts_of_unequal_size_rejected(self):
+        # the identity needs parts of equal size: for {0} and {1..5} the
+        # whole reads 1/2 against a parts average of 7/10
+        G = catalog_group("S3")
+        X_parts = [ElementSet(G, frozenset({0})), ElementSet(G, frozenset(range(1, 6)))]
+        Y_parts = [ElementSet(G, frozenset(range(6)))]
+        with pytest.raises(ValueError, match="parts must be of equal size"):
+            partition_identity_check(NILPOTENT, G, X_parts, Y_parts)
 
 
 class TestHallBound:
