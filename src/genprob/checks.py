@@ -150,6 +150,8 @@ def partition_identity_check(
 ) -> CheckReport:
     """P(X, Y) = sum of P(X_i, Y_j) / (r*s) for equal-size disjoint partitions."""
     r, s = len(X_parts), len(Y_parts)
+    for part in (*X_parts, *Y_parts):
+        G._require_set(part)
     X = ElementSet(G, frozenset().union(*(p.members for p in X_parts)))
     Y = ElementSet(G, frozenset().union(*(p.members for p in Y_parts)))
     if len(X) != sum(len(p) for p in X_parts) or len(Y) != sum(len(p) for p in Y_parts):

@@ -292,6 +292,12 @@ class FiniteGroup:
         if not self.contains(p):
             raise NotInGroup(f"{p} is not an element of {self!r}")
 
+    def _require_set(self, S: "ElementSet") -> None:
+        """Refuse a set of another group's enumeration, which the degree and
+        generator tuples fix, before anything is listed."""
+        if (S.group.degree, S.group._gen_tuples) != (self.degree, self._gen_tuples):
+            raise NotInGroup(f"a set of {S.group!r} is not a set of {self!r}")
+
     # -- canonical enumeration ------------------------------------------------
 
     def elements(self) -> list[Permutation]:

@@ -19,10 +19,10 @@ class itself and the image tuple of x, so a row is computed once per group
 and class.  It refuses a non-member through ``FiniteGroup._require_member``.
 Since <x, g> = <g, x>, g lies in Omega(G) iff Omega(g) = G: Omega(G) is the
 union of the classes whose representative pairs with every element.  The
-exhaustive count, ``omega_global(class_reduced=False)`` and
-``classes.pair_by_predicate`` take the pairs one by one, with no orbit or
-class reduction and no pair cache: they are the oracles the reduced routes
-are checked against.
+exhaustive count ``prob_sets`` and ``classes.pair_by_predicate`` take the
+pairs one by one, with no orbit or class reduction and no pair cache: they
+are the oracles the reduced routes are checked against, and the tests read
+the brute-force Omega(G) off ``prob_sets`` (g lies in it iff P(g, G) = 1).
 
 For a built-in class Omega(G) is the soluble radical (Guralnick-
 Kunyavskii-Plotkin-Shalev, J. Algebra 300, 2006), the hypercenter or the
@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .classes import ABELIAN, NILPOTENT, SOLUBLE, GroupClass, decide_pair, pair_in_group, pair_row
-from .errors import EmptySet, NotInGroup
+from .errors import EmptySet
 from .group import ElementSet, FiniteGroup
 from .perm import Permutation
 from .util import Record
@@ -111,13 +111,11 @@ def prob_sets(
     distinct elements of X & Y counts twice, the pair (x, x) once, and a
     pair with an end outside X & Y once.  Empty X or Y is an error: the
     ratio presupposes both sets have positive measure.  X and Y must be
-    sets of G's canonical enumeration, which its degree and generator
-    tuples fix.  A group inside the class gets every pair; otherwise each
+    sets of G.  A group inside the class gets every pair; otherwise each
     is decided afresh by ``classes.decide_pair``, with no pair cache.
     """
-    for S in (X, Y):
-        if (S.group.degree, S.group._gen_tuples) != (G.degree, G._gen_tuples):
-            raise NotInGroup(f"prob_sets: a set of {S.group!r} is not a set of {G!r}")
+    G._require_set(X)
+    G._require_set(Y)
     if not X.members or not Y.members:
         raise EmptySet("prob_sets requires nonempty X and Y")
     total = len(X) * len(Y)
@@ -164,26 +162,20 @@ def prob_group(C: GroupClass, G: FiniteGroup, method: str = "auto") -> Probabili
 # global omega and its structural oracles
 # ---------------------------------------------------------------------------
 
-def omega_global(C: GroupClass, G: FiniteGroup, class_reduced: bool = True) -> ElementSet:
+def omega_global(C: GroupClass, G: FiniteGroup) -> ElementSet:
     """Intersection of omega(C, G, x) over all x in G.
 
-    Class-reduced route: <x, r> = <r, x>, so r lies in every omega(x) iff
-    omega(r) = G, and so do its conjugates.  Each representative is tested
-    against the elements in enumeration order up to the first failure; the
-    identity, not assumed to pass, against one element per class, since
-    <1, y> = <y> and conjugate elements generate conjugate subgroups.
+    <x, r> = <r, x>, so r lies in every omega(x) iff omega(r) = G, and so
+    do its conjugates.  Each representative is tested against the elements
+    in enumeration order up to the first failure; the identity, not assumed
+    to pass, against one element per class, since <1, y> = <y> and
+    conjugate elements generate conjugate subgroups.
     """
     # a group inside the class is refused above the cap as any other is
     G.check_cap()
     if C.predicate(G):
         return ElementSet(G, frozenset(range(G.order)))
     elems = G.element_tuples()
-    if not class_reduced:
-        members = set(range(G.order))
-        for xt in elems:
-            members = {i for i in members if decide_pair(C, G, xt, elems[i])}
-        return ElementSet(G, frozenset(members))
-
     reps, _, class_of = G._conjugacy_data()
     kept = [all(pair_in_group(C, G, elems[r], elems[y])
                 for y in (reps if r == 0 else range(G.order)))  # 0: the identity

@@ -70,6 +70,19 @@ def conjugate_members(G, members, g):
     return frozenset(G.index_of(mul(mul(g_inv, elems[i]), g)) for i in members)
 
 
+def brute_omega_global(C, G):
+    """Indices of Omega(G), pair by pair: g lies in it iff P(g, G) = 1,
+    read off the exhaustive count ``prob_sets``, which decides each pair of
+    {g} x G afresh, with no class reduction and no pair cache."""
+    from genprob.group import ElementSet
+    from genprob.probability import prob_sets
+
+    everything = ElementSet(G, frozenset(range(G.order)))
+    return frozenset(
+        g for g in range(G.order)
+        if prob_sets(C, G, ElementSet(G, frozenset({g})), everything).favorable == G.order)
+
+
 def list_bfs(adjacency, source):
     """Distance from ``source`` to each vertex it reaches, by a
     breadth-first search over neighbour lists."""

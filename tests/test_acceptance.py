@@ -5,10 +5,9 @@ make a run green."""
 import json
 from fractions import Fraction
 
-import pytest
 from click.testing import CliRunner
 
-from genprob import ElementSet, Permutation
+from genprob import Permutation
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE
 from genprob.cli import main as cli_main
 from genprob.checks import (
@@ -27,7 +26,6 @@ from genprob.probability import (
 )
 from genprob.tower import dihedral_tower, monotonicity_report, positivity_verdict
 from genprob.wreath import (
-    ALPHA,
     base_level,
     build_g,
     canonical_transversal,

@@ -39,7 +39,7 @@ from genprob.probability import (
     verify_identities,
 )
 
-from conftest import catalog_group, run_python
+from conftest import brute_omega_global, catalog_group, run_python
 
 P = Permutation.parse
 
@@ -198,7 +198,7 @@ def test_exhaustive_oracles_ignore_the_pair_cache(name, klass):
     neither oracle stores a verdict of its own."""
     fresh = load(name)
     expected = (prob_group(klass, fresh, method="exhaustive"),
-                omega_global(klass, fresh, class_reduced=False).members)
+                brute_omega_global(klass, fresh))
     G = load(name)
     for rep, _ in G.conjugacy_classes():
         omega(klass, G, rep)
@@ -207,7 +207,7 @@ def test_exhaustive_oracles_ignore_the_pair_cache(name, klass):
             cache[key] = not verdict
     flipped = {C: dict(cache) for C, cache in G.pair_cache.items()}
     assert prob_group(klass, G, method="exhaustive") == expected[0]
-    assert omega_global(klass, G, class_reduced=False).members == expected[1]
+    assert brute_omega_global(klass, G) == expected[1]
     assert G.pair_cache == flipped
 
 
@@ -227,10 +227,7 @@ class TestGlobalOmega:
         for name in ("S4", "A5", "D12", "SL23", "PSL27"):
             G = catalog_group(name)
             for klass in (ABELIAN, NILPOTENT, SOLUBLE):
-                assert (
-                    omega_global(klass, G).members
-                    == omega_global(klass, G, class_reduced=False).members
-                )
+                assert omega_global(klass, G).members == brute_omega_global(klass, G)
 
     # closed under subgroups, quotients and direct products, without C3
     TWO_GROUPS = GroupClass("2-group", lambda G: G.order & (G.order - 1) == 0)
@@ -241,7 +238,7 @@ class TestGlobalOmega:
         G = catalog_group(name)
         assert (
             omega_global(self.TWO_GROUPS, G).members
-            == omega_global(self.TWO_GROUPS, G, class_reduced=False).members
+            == brute_omega_global(self.TWO_GROUPS, G)
         )
 
     @pytest.mark.parametrize("gens, oracle", [
@@ -398,6 +395,18 @@ class TestLaws:
         Y_parts = [ElementSet(G, frozenset(range(6)))]
         with pytest.raises(ValueError, match="parts must be of equal size"):
             partition_identity_check(NILPOTENT, G, X_parts, Y_parts)
+
+    @pytest.mark.parametrize("first", [0, 12])
+    def test_partition_refuses_parts_of_another_group(self, first):
+        # S4 parts are refused before A4 is listed, also where their
+        # indices lie past A4's order
+        A4 = load("A4")
+        S4 = catalog_group("S4")
+        X_parts = [ElementSet(S4, frozenset(range(first, first + 6)))]
+        Y_parts = [ElementSet(S4, frozenset(range(first + 6, first + 12)))]
+        with pytest.raises(NotInGroup):
+            partition_identity_check(NILPOTENT, A4, X_parts, Y_parts)
+        assert not A4.is_materialized
 
 
 class TestHallBound:

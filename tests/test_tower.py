@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from genprob import CapExceeded, GroupError, Permutation, UnknownName
+from genprob import CapExceeded, GroupError, UnknownName
 from genprob.catalog import load
 from genprob.classes import ABELIAN, NILPOTENT, SOLUBLE, GroupClass
-from genprob.probability import omega_global
 from genprob.tower import (
     MonotonicityReport,
     QuotientTower,
@@ -14,6 +13,8 @@ from genprob.tower import (
     positivity_verdict,
     prob_sequence,
 )
+
+from conftest import brute_omega_global
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +247,7 @@ class TestVerdicts:
             verdict = positivity_verdict(ABELIAN, tower)
             assert all(G.pair_cache == {} for G in tower.levels)
             assert verdict.indices == [
-                G.order // len(omega_global(ABELIAN, G, class_reduced=False))
+                G.order // len(brute_omega_global(ABELIAN, G))
                 for G in tower.levels
             ]
 

@@ -1,6 +1,6 @@
-"""Every module-level import in the package is used in its module or
-exported by its ``__all__``.  No linter runs on this code, so this guard
-uses only ``ast``."""
+"""Every module-level import in the package and in its tests is used in
+its module or exported by its ``__all__``.  No linter runs on this code, so
+this guard uses only ``ast``."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ from pathlib import Path
 import genprob
 
 PACKAGE = Path(genprob.__file__).parent
+TESTS = Path(__file__).parent
 
 # the benchmark's tracer tests check that this import site of pair_in_group
 # gets wrapped, so graphs keeps the name bound without calling it
@@ -39,6 +40,6 @@ def test_guard_finds_an_unused_import():
 
 def test_every_import_is_used():
     found = {(path.name, name)
-             for path in sorted(PACKAGE.glob("*.py"))
+             for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
              for name in unused_imports(path.read_text(encoding="utf-8"))}
     assert found == ALLOWED

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+import genprob.wreath
 from genprob import GroupError, NotInGroup, Permutation
 from genprob.classes import SOLUBLE
 from genprob.probability import omega
@@ -10,7 +12,6 @@ from genprob.wreath import (
     BETA,
     GenerationReport,
     Transversal,
-    WreathElement,
     WreathLevel,
     alt5,
     base_level,
@@ -221,6 +222,14 @@ class TestConstruction:
             assert h_pattern_ok(level, h, ALPHA)
             assert level.element_order(h) == 15
 
+    def test_h_outside_the_socle_refused(self, level, T, monkeypatch):
+        # a power that returns its element unchanged leaves g's top
+        # component in place
+        g1 = build_g(level, T, ALPHA)
+        monkeypatch.setattr(WreathLevel, "power", lambda self, a, k: a)
+        with pytest.raises(GroupError, match="escaped the socle"):
+            compute_h(level, g1)
+
     def test_projection_rejects_non_socle(self, level, T):
         g1 = build_g(level, T, ALPHA)
         with pytest.raises(GroupError):
@@ -274,13 +283,22 @@ class TestVerification:
         assert (failed.checks, failed.passed) == (61, 60)
         assert not failed.all_passed
 
-    def test_negative_control_three_cycle(self):
+    def test_negative_control_three_cycle(self, monkeypatch):
         # replacing beta by a 3-cycle must break generation for some u:
         # <(1,2,3), (1,2,3)^u> can sit inside Alt(4) or a point stabilizer
         A5 = alt5()
         gamma = P("(1,2,3)", 5)
         orders = {A5.subgroup([ALPHA, gamma ** u]).order for u in A5.elements()}
         assert orders != {60}
+        # the check itself reports each such u; alt5() is cached above, so
+        # the patched beta does not build the top group
+        monkeypatch.setattr(genprob.wreath, "BETA", gamma)
+        report = verify_alpha_beta_generation()
+        assert (report.checks, report.passed) == (60, 18)
+        assert not report.all_passed
+        orders = Counter(line.rsplit(": order ", 1)[1] for line in report.failures)
+        assert orders == {"12": 36, "3": 6}
+        assert all(line.startswith("u=") for line in report.failures)
 
     def test_mechanism(self, level, T):
         report = verify_lemma_mechanism(level, T, samples=20, seed=3)
