@@ -7,7 +7,8 @@ dominates every probability and graph computation, so each built-in class
 carries a fast test that avoids building <x, y> where a cheap criterion
 exists (``decide_pair`` runs it, uncached, for the exhaustive oracles;
 ``pair_in_group``, a plain verdict cache per (group, class), for the rest;
-each caller settles beforehand whether G itself lies in the class):
+each caller settles beforehand, through ``inside``, whether G itself lies
+in the class):
 
 * abelian: two generators commute (``perm.commute``).
 * nilpotent: split both elements into prime parts; the pair generates a
@@ -52,9 +53,8 @@ the orbit walk leaves L_x out; L_x is kept only for the centralizer test.
 Abelian rows take no pair test: g_i commutes with x iff L_x and R_x agree
 at i, so the row is C_G(x) read off the same two tables.  Nilpotent rows
 stay one test per element and build no tables, since the benchmark pins
-the pair-test and product counts of the dihedral tower.  Every row settles
-the cap and the class predicate before it lists the elements, so the
-predicate's series are gone before the element list is built.
+the pair-test and product counts of the dihedral tower.  Every row passes
+``inside`` before it lists the elements.
 """
 
 from __future__ import annotations
@@ -307,6 +307,16 @@ def class_by_name(name: str) -> GroupClass:
 # test_pair
 # ---------------------------------------------------------------------------
 
+def inside(C: GroupClass, G: FiniteGroup) -> bool:
+    """Whether G itself lies in the class, so that, the class being
+    subgroup-closed, every pair of G passes.  For the callers that list G's
+    elements: the cap comes first, so a group above it is refused as its
+    element list would be, and the predicate's series are built and dropped
+    before any list exists."""
+    G.check_cap()
+    return C.predicate(G)
+
+
 def test_pair(C: GroupClass, G: FiniteGroup, x: Permutation, y: Permutation) -> bool:
     """Whether <x, y> lies in the class.  Verdicts are cached per (G, C);
     a group inside the class needs none, since the class is subgroup-closed."""
@@ -363,11 +373,7 @@ def pair_row(C: GroupClass, G: FiniteGroup, xt: tuple) -> frozenset[int]:
     test per element.  A group above the cap is refused, and a group inside
     the class gets the full row, before any element is listed.
     """
-    # the cap first, so that a group inside the class is refused as its
-    # elements would be; then the predicate, whose series are built and
-    # dropped before the element list exists
-    G.check_cap()
-    if C.predicate(G):
+    if inside(C, G):
         return frozenset(range(G.order))
     elems = G.element_tuples()
     # nilpotent rows stay per element and build no tables: the benchmark pins

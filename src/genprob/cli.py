@@ -8,11 +8,12 @@ deterministic: the same config and seed produce byte-identical JSON.  The
 compatibility: they change neither the output nor the work, no file is read
 or written for ``--cache``, and neither is in the config echo.
 
-Every subcommand ends in ``_finish``, which records whether the checks the
-run asserted hold as the report's ``passed`` field, prints the report, and
-exits 1 when one of them fails: an identity, a diameter bound or the
-monotonicity of a tower.  Bad input, a refused run or an unwritable file
-exits 2 after one ``Error:`` line on stderr.
+Every subcommand ends in one ``_finish`` call, which assembles the report
+(version, command, config, the subcommand's fields, the seed and whether
+the checks the run asserted hold, as ``passed``), prints it, and exits 1
+when one of them fails: an identity, a diameter bound or the monotonicity
+of a tower.  Bad input, a refused run or an unwritable file exits 2 after
+one ``Error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -129,10 +130,14 @@ def _emit(report: dict, fmt: str) -> None:
     click.echo(buf.getvalue().rstrip("\n"))
 
 
-def _finish(report: dict, fmt: str, passed: bool) -> None:
-    """Record the run's verdict, print the report, and exit 1 if a check
-    failed."""
-    report["passed"] = passed
+def _finish(command: str, config: dict, fields: dict, fmt: str, passed: bool,
+            seed: int | None = None) -> None:
+    """Assemble the report around the subcommand's ``fields``, print it, and
+    exit 1 if a check failed.  The seed is reported when one is given."""
+    report = {"version": __version__, "command": command, "config": config,
+              **fields, "passed": passed}
+    if seed is not None:
+        report["seed"] = seed
     _emit(report, fmt)
     if not passed:
         sys.exit(1)
@@ -141,7 +146,10 @@ def _finish(report: dict, fmt: str, passed: bool) -> None:
 def _diameter_bounds(C: GroupClass, result) -> dict[str, bool]:
     """The paper's diameter bounds on a class graph, given its
     ``graphs.GraphReport``: a soluble graph is connected with diameter at
-    most 5, and each nilpotent component has diameter at most 10."""
+    most 5, and each nilpotent component has diameter at most 10.  The
+    empty graph has no component, so no bound to check."""
+    if not result.components:
+        return {}
     if C == SOLUBLE:
         return {"connected": result.connected,
                 "diameter_le_5": (result.connected
@@ -150,13 +158,6 @@ def _diameter_bounds(C: GroupClass, result) -> dict[str, bool]:
         return {"component_diameters_le_10": all(
             c["diameter"] <= NILPOTENT_COMPONENT_DIAMETER_BOUND for c in result.components)}
     return {}
-
-
-def _envelope(command: str, config: dict, seed: int | None = None) -> dict:
-    report = {"version": __version__, "command": command, "config": config}
-    if seed is not None:
-        report["seed"] = seed
-    return report
 
 
 @click.group(cls=_Main)
@@ -196,19 +197,17 @@ def analyze(group_source: str, class_name: str, fmt: str, cap: int,
     core = omega_global(C, G)
     identities = verify_identities(G)
 
-    report = _envelope("analyze", {
+    _finish("analyze", {
         "group": group_source, "class": class_name, "cap": cap,
         "pair_budget": pair_budget,
-    })
-    report.update({
+    }, {
         "group_order": G.order,
         "per_class_representative": per_rep,
         "prob_group": rational(whole.favorable, whole.total),
         "prob_group_method": whole.method,
         "omega_global_size": len(core),
         "identities": identities.results,
-    })
-    _finish(report, fmt, identities.passed)
+    }, fmt, identities.passed)
 
 
 @main.command()
@@ -228,16 +227,7 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int,
     C = class_by_name(class_name)
     g = build_graph(C, G)
     result = components_and_diameters(g)
-
-    # the empty graph is reported, with no bound to check
-    bounds = {} if g.is_empty else _diameter_bounds(C, result)
-
-    report = _envelope("graph", {
-        "group": group_source, "class": class_name, "cap": cap,
-    })
-    report.update(result.to_json())
-    report["empty"] = g.is_empty
-    report["bounds"] = bounds
+    bounds = _diameter_bounds(C, result)
 
     if dot_path is not None:
         if len(g.vertices) > DOT_VERTEX_LIMIT:
@@ -250,7 +240,9 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int,
         except OSError as exc:
             raise GroupError(f"cannot write DOT file {dot_path}: {exc}") from None
 
-    _finish(report, fmt, all(bounds.values()))
+    _finish("graph", {"group": group_source, "class": class_name, "cap": cap},
+            {**result.to_json(), "empty": g.is_empty, "bounds": bounds},
+            fmt, all(bounds.values()))
 
 
 @main.group()
@@ -269,9 +261,8 @@ def wreath_verify(samples: int, seed: int, fmt: str) -> None:
     level, g_top = base_level()
     T = canonical_transversal(level.top, g_top)
     result = verify_lemma_mechanism(level, T, samples=samples, seed=seed)
-    report = _envelope("wreath verify", {"samples": samples}, seed=seed)
-    report.update(result.to_json())
-    _finish(report, fmt, result.all_passed)
+    _finish("wreath verify", {"samples": samples}, result.to_json(), fmt,
+            result.all_passed, seed=seed)
 
 
 @main.group()
@@ -295,25 +286,20 @@ def tower_dihedral(prime: int, levels: int, class_name: str, track: str,
     t = dihedral_tower(prime, levels, cap=cap)
     mono = monotonicity_report(C, t, track)
     verdict = positivity_verdict(C, t, track=track)
-    report = _envelope("tower dihedral", {
+    _finish("tower dihedral", {
         "prime": prime, "levels": levels, "class": class_name,
         "track": track, "cap": cap,
-    })
-    report.update(mono.to_json())
-    report["verdict"] = verdict.verdict
-    _finish(report, fmt, mono.monotone)
+    }, {**mono.to_json(), "verdict": verdict.verdict}, fmt, mono.monotone)
 
 
 @main.command("catalog-list")
 @format_option
 def catalog_list(fmt: str) -> None:
     """List the built-in group catalog."""
-    report = _envelope("catalog-list", {})
-    report["entries"] = [
+    _finish("catalog-list", {}, {"entries": [
         {"name": e.name, "expected_order": e.expected_order, "tags": e.tags}
         for e in list_entries()
-    ]
-    _finish(report, fmt, True)
+    ]}, fmt, True)
 
 
 SELFTEST_GROUPS = ("S3", "A4", "D12", "Q8", "SL23", "S4", "A5")
@@ -347,14 +333,11 @@ def selftest(seed: int, fmt: str) -> None:
     graph_ok = all(_diameter_bounds(SOLUBLE, graph_report).values())
     ok = ok and graph_ok
 
-    report = _envelope("selftest", {}, seed=seed)
-    report["checks"] = checks
-    report["soluble_graph_A5"] = {
+    _finish("selftest", {}, {"checks": checks, "soluble_graph_A5": {
         "connected": graph_report.connected,
         "max_diameter": graph_report.max_diameter,
         "passed": graph_ok,
-    }
-    _finish(report, fmt, ok)
+    }}, fmt, ok, seed=seed)
 
 
 if __name__ == "__main__":

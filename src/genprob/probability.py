@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .classes import ABELIAN, NILPOTENT, SOLUBLE, GroupClass, decide_pair, pair_in_group, pair_row
+from .classes import (ABELIAN, NILPOTENT, SOLUBLE, GroupClass, decide_pair, inside,
+                      pair_in_group, pair_row)
 from .errors import EmptySet
 from .group import ElementSet, FiniteGroup
 from .perm import Permutation
@@ -60,6 +61,11 @@ CLASS_REDUCTION_THRESHOLD = 360
 
 
 class ProbabilityReport(NamedTuple):
+    """A count of favorable pairs out of ``total``.  ``method`` names the
+    route: ``"exhaustive"`` for ``prob_sets``' pair-by-pair count,
+    ``"class-reduced"`` for one Omega(x) row per conjugacy class, and
+    ``"row"`` for ``prob_elem``'s single Omega(x) row."""
+
     group: str
     class_name: str
     favorable: int
@@ -99,7 +105,7 @@ def omega(C: GroupClass, G: FiniteGroup, x: Permutation) -> ElementSet:
 
 def prob_elem(C: GroupClass, G: FiniteGroup, x: Permutation) -> ProbabilityReport:
     favorable = len(omega(C, G, x))
-    return ProbabilityReport(_group_label(G), C.name, favorable, G.order, "exhaustive")
+    return ProbabilityReport(_group_label(G), C.name, favorable, G.order, "row")
 
 
 def prob_sets(
@@ -119,8 +125,7 @@ def prob_sets(
     if not X.members or not Y.members:
         raise EmptySet("prob_sets requires nonempty X and Y")
     total = len(X) * len(Y)
-    G.check_cap()
-    if C.predicate(G):
+    if inside(C, G):
         return ProbabilityReport(_group_label(G), C.name, total, total, "exhaustive")
     elems = G.element_tuples()
     both = sorted(X.members & Y.members)
@@ -171,9 +176,7 @@ def omega_global(C: GroupClass, G: FiniteGroup) -> ElementSet:
     to pass, against one element per class, since <1, y> = <y> and
     conjugate elements generate conjugate subgroups.
     """
-    # a group inside the class is refused above the cap as any other is
-    G.check_cap()
-    if C.predicate(G):
+    if inside(C, G):
         return ElementSet(G, frozenset(range(G.order)))
     elems = G.element_tuples()
     reps, _, class_of = G._conjugacy_data()
@@ -190,8 +193,7 @@ def soluble_radical(G: FiniteGroup) -> ElementSet:
     radical.  The normal closure of x is literally the same subgroup for
     every conjugate of x, so it is computed once per conjugacy class.
     """
-    G.check_cap()
-    if G.is_soluble:
+    if inside(SOLUBLE, G):
         return ElementSet(G, frozenset(range(G.order)))
     elems = G.element_tuples()
     reps, _, class_of = G._conjugacy_data()
@@ -205,8 +207,7 @@ def soluble_radical(G: FiniteGroup) -> ElementSet:
 
 def hypercenter(G: FiniteGroup) -> ElementSet:
     """Final term of the upper central series."""
-    G.check_cap()
-    if G.is_nilpotent:
+    if inside(NILPOTENT, G):
         return ElementSet(G, frozenset(range(G.order)))
     return G.upper_central_series()[-1]
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -417,6 +419,36 @@ class TestCatalogListAndSelftest:
         assert report["seed"] == 5
         assert report["version"] == __version__
         assert report["passed"] is True
+
+
+ENVELOPE_RUNS = [
+    (["analyze", "--group", "S3", "--class", "soluble"], "analyze", False),
+    (["graph", "--group", "S4", "--class", "abelian"], "graph", False),
+    (["wreath", "verify", "--samples", "1"], "wreath verify", True),
+    (["tower", "dihedral", "--prime", "3", "--levels", "2", "--class", "soluble"],
+     "tower dihedral", False),
+    (["catalog-list"], "catalog-list", False),
+    (["selftest"], "selftest", True),
+]
+
+
+@pytest.mark.parametrize("args, command, seeded", ENVELOPE_RUNS,
+                         ids=[run[1].replace(" ", "-") for run in ENVELOPE_RUNS])
+def test_every_subcommand_reports_one_envelope(runner, args, command, seeded):
+    result, report = run_json(runner, args)
+    assert result.exit_code == (0 if report["passed"] else 1)
+    assert report["version"] == __version__
+    assert report["command"] == command
+    assert isinstance(report["config"], dict)
+    assert isinstance(report["passed"], bool)
+    assert ("seed" in report) == seeded
+    # the csv rendering carries the same envelope, one row per leaf
+    rows = runner.invoke(main, [*args, "--format", "csv"], catch_exceptions=False).output
+    table = dict(csv.reader(io.StringIO(rows)))
+    keys = ("version", "command", "passed", "seed")
+    envelope = {k: str(report[k]) for k in keys if k in report}
+    envelope.update((f"config.{k}", str(v)) for k, v in report["config"].items())
+    assert {k: v for k, v in table.items() if k in keys or k.startswith("config.")} == envelope
 
 
 def test_cli_import_leaves_graphs_tower_and_wreath_unloaded():

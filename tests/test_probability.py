@@ -75,6 +75,14 @@ class TestOmega:
         G = catalog_group("S4")
         assert prob_elem(ABELIAN, G, G.identity).probability == 1
 
+    @pytest.mark.parametrize("klass", [ABELIAN, NILPOTENT, SOLUBLE],
+                             ids=lambda c: c.name)
+    def test_prob_elem_reports_the_row_route(self, klass):
+        # the count is one Omega(x) row, whichever way pair_row fills it;
+        # no pair is decided by the exhaustive count
+        report = prob_elem(klass, catalog_group("S4"), P("(1,2)", 4))
+        assert report.method == "row"
+
 
 class TestProbGroup:
     def test_s3_nilpotent_is_half(self):
@@ -246,6 +254,8 @@ class TestGlobalOmega:
         ("(1,2) (1,2,3,4)", soluble_radical),
         ("(1,2,3,4)", lambda G: omega_global(ABELIAN, G)),
         ("(1,2,3,4)", hypercenter),
+        ("(1,2) (1,2,3,4)",
+         lambda G: prob_sets(SOLUBLE, G, *[ElementSet(G, frozenset({0}))] * 2)),
     ])
     def test_cap_is_strict_inside_the_class(self, gens, oracle):
         # S4 is soluble and C4 abelian, so each of these sets would be the
