@@ -225,16 +225,15 @@ def graph(group_source: str, class_name: str, fmt: str, cap: int,
 
     G = _load_group(group_source, cap)
     C = class_by_name(class_name)
+    # the vertices are G minus Omega(G), so an oversized dump is refused
+    # before the graph is built
+    if dot_path is not None and (n := G.order - len(omega_global(C, G))) > DOT_VERTEX_LIMIT:
+        raise GroupError(f"DOT dump limited to {DOT_VERTEX_LIMIT} vertices (graph has {n})")
     g = build_graph(C, G)
     result = components_and_diameters(g)
     bounds = _diameter_bounds(C, result)
 
     if dot_path is not None:
-        if len(g.vertices) > DOT_VERTEX_LIMIT:
-            raise GroupError(
-                f"DOT dump limited to {DOT_VERTEX_LIMIT} vertices "
-                f"(graph has {len(g.vertices)})"
-            )
         try:
             dot_path.write_text(g.to_dot() + "\n")
         except OSError as exc:

@@ -90,7 +90,9 @@ def bfs_closure(gens: Sequence[tuple[int, ...]], degree: int,
                 limit: int) -> list[tuple[int, ...]] | None:
     """Breadth-first multiplicative closure of the generators from the
     identity, in generator order, each new level sorted by image tuple;
-    None as soon as it passes ``limit`` elements."""
+    None as soon as it passes ``limit`` elements.  Each level follows the
+    one it grows from, so every element after the identity is e*g for some
+    generator g and some e of the level before it, listed earlier."""
     ident = identity_tuple(degree)
     seen = {ident}
     out = [ident]
@@ -402,8 +404,9 @@ class FiniteGroup:
 
         ``right[k][i]`` is the index of g_i s_k, s_k the k-th generator;
         ``inverse[i]`` the index of g_i^-1; ``words[i]`` the generator
-        numbers whose product, in order, is g_i, found by a breadth-first
-        search over the right tables from the identity.
+        numbers whose product, in order, is g_i, found by walking the right
+        tables in index order from the identity: the enumeration lists each
+        breadth-first level before the next, so each word is a shortest one.
         """
         if self._regular is None:
             elems = self.element_tuples()
@@ -413,13 +416,11 @@ class FiniteGroup:
             inverse = [index[inv(t)] for t in elems]
             words: list[tuple[int, ...] | None] = [None] * self.order
             words[0] = ()
-            order = [0]
-            for i in order:
+            for i in range(self.order):
                 for k, r in enumerate(right):
                     j = r[i]
                     if words[j] is None:
                         words[j] = words[i] + (k,)
-                        order.append(j)
             self._regular = (right, inverse, words)
         return self._regular
 

@@ -2,17 +2,19 @@
 
 A tower is a finite, explicit chain of finite groups with verified surjective
 projections between consecutive levels, plus named element tracks that
-commute with the projections.  Probability sequences along a tower realize
-the infimum-over-quotients description of the profinite probability; the
-report states the last value plus a non-increase certificate, never a
-claimed limit.  The positivity verdict follows the index per level of
-Omega(G), which ``probability._class_core`` reads for a built-in class as
-the soluble radical, hypercenter or centre, with no pair test.
+commute with the projections (for the dihedral tower, reduction mod p^n).
+Probability sequences along a tower realize the infimum-over-quotients
+description of the profinite probability; the report states the last value
+plus a non-increase certificate, never a claimed limit.  The positivity
+verdict follows the index per level of Omega(G), which
+``probability._class_core`` reads for a built-in class as the soluble
+radical, hypercenter or centre, with no pair test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .classes import GroupClass, NILPOTENT, SOLUBLE
@@ -55,9 +57,10 @@ class QuotientTower(Record):
             images = [proj(g) for g in upper.generators]
             if lower.subgroup(images).order != lower.order:
                 raise GroupError(f"projection {k + 1}->{k} is not surjective")
-            for a in upper.generators:
-                for b in upper.generators:
-                    if proj(a * b) != proj(a) * proj(b):
+            pairs = list(zip(upper.generators, images))
+            for a, pa in pairs:
+                for b, pb in pairs:
+                    if proj(a * b) != pa * pb:
                         raise GroupError(f"projection {k + 1}->{k} is not a homomorphism")
         for name, track in self.tracks.items():
             if len(track) != len(self.levels):
@@ -76,14 +79,20 @@ class QuotientTower(Record):
             ) from None
 
 
+def _reduce(m: int, e: Permutation) -> Permutation:
+    """The action of e on the residues mod m of its points, a homomorphism
+    on every group whose elements preserve those residues."""
+    return Permutation(tuple(v % m for v in e.images[:m]))
+
+
 def dihedral_tower(
     p: int, n_max: int, cap: int = DEFAULT_MATERIALIZATION_CAP
 ) -> QuotientTower:
     """Dihedral groups of order 2*p^n for n = 1..n_max, p an odd prime.
 
-    Level n acts on p^n points: the rotation r is the full cycle, the
-    involution x is point negation.  Projections send r to r and x to x;
-    this is the finite shadow of inverting a procyclic rotation group.
+    Level n acts on the integers mod p^n: the rotation r is the full cycle,
+    the involution x is negation, and the projection to level n-1 is
+    reduction mod p^(n-1), the finite shadow of Z_p semidirect C_2.
     """
     if p < 3 or p % 2 == 0:
         raise GroupError("p must be an odd prime")
@@ -108,18 +117,7 @@ def dihedral_tower(
             FiniteGroup(m, [rot, refl], cap=cap, name=f"D{2 * m}")
         )
 
-    def make_projection(n: int) -> Callable[[Permutation], Permutation]:
-        m_hi, m_lo = p ** (n + 1), p ** n
-
-        def project(e: Permutation) -> Permutation:
-            a = e.images[0]
-            if e.images[1 % m_hi] == (a + 1) % m_hi:  # rotation i -> i + a
-                return Permutation(tuple((i + a) % m_lo for i in range(m_lo)))
-            return Permutation(tuple((a - i) % m_lo for i in range(m_lo)))
-
-        return project
-
-    projections = [make_projection(n) for n in range(1, n_max)]
+    projections = [partial(_reduce, p ** n) for n in range(1, n_max)]
     tracks = {
         "x": [G.generators[1] for G in levels],
         "r": [G.generators[0] for G in levels],

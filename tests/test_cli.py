@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import genprob.cli
+import genprob.graphs
 from genprob import __version__
 from genprob.catalog import load
 from genprob.classes import BUILTIN_CLASSES
@@ -273,6 +274,17 @@ class TestInputErrors:
         assert "pair budget" in stderr
 
     def test_dot_vertex_limit(self, runner, tmp_path):
+        dot = tmp_path / "x.dot"
+        stderr = self.refused(
+            runner, ["graph", "--group", "S6", "--class", "soluble", "--dot", str(dot)])
+        assert "graph has 719" in stderr
+        assert not dot.exists()
+
+    def test_refused_dot_dump_builds_no_graph(self, runner, tmp_path, monkeypatch):
+        def build_graph(C, G):
+            raise AssertionError("the graph was built before the DOT limit was checked")
+
+        monkeypatch.setattr(genprob.graphs, "build_graph", build_graph)
         dot = tmp_path / "x.dot"
         stderr = self.refused(
             runner, ["graph", "--group", "S6", "--class", "soluble", "--dot", str(dot)])

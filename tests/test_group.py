@@ -209,6 +209,23 @@ class TestRegularTables:
                 t = mul(t, G._gen_tuples[k])
             assert t == G.element_tuples()[x]
 
+    def test_words_are_shortest(self, name):
+        G = catalog_group(name)
+        # breadth-first distances from the identity, by products alone
+        distance = {identity_tuple(G.degree): 0}
+        frontier = list(distance)
+        while frontier:
+            new = []
+            for e in frontier:
+                for s in G._gen_tuples:
+                    f = mul(e, s)
+                    if f not in distance:
+                        distance[f] = distance[e] + 1
+                        new.append(f)
+            frontier = new
+        words = G._regular_tables()[2]
+        assert [len(w) for w in words] == [distance[t] for t in G.element_tuples()]
+
     def test_inverse_table(self, name):
         G = catalog_group(name)
         assert G.inverse_table() == [G.index_of(inv(g)) for g in G.element_tuples()]

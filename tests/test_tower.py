@@ -41,6 +41,13 @@ class TestConstruction:
             for b in G1.generators:
                 assert proj(a * b) == proj(a) * proj(b)
 
+    def test_projections_reduce_points_mod_the_lower_degree(self, tower3):
+        for tower in (tower3, dihedral_tower(5, 3)):
+            for k, proj in enumerate(tower.projections):
+                m = tower.levels[k].degree
+                for e in tower.levels[k + 1].elements():
+                    assert proj(e).images == tuple(v % m for v in e.images[:m])
+
     def test_rejects_non_prime(self):
         with pytest.raises(GroupError):
             dihedral_tower(9, 2)
